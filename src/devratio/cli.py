@@ -47,7 +47,12 @@ def domain_errors(func):
 
 def _load_instance(path: str) -> Instance:
     with open(path) as fh:
-        return Instance.from_json(json.load(fh))
+        spec = json.load(fh)
+    try:
+        return Instance.from_json(spec)
+    except KeyError as exc:
+        raise click.UsageError(
+            f"instance {path} lacks the key {exc.args[0]!r}")
 
 
 def _parse_poly(text: str) -> Curve:
@@ -331,11 +336,13 @@ def ratio(instance_path, lambda_grid, tol, seed, dump_grid) -> None:
     """Empirical deviation ratio from a lambda-grid search."""
     instance = _load_instance(instance_path)
     config = SolverConfig(relative_gap_tol=tol)
-    value = search.empirical_dr(instance, lambda_grid, config, seed=seed)
-    click.echo(_fmt(value))
+    # the same calls in the same order as search.empirical_dr, so the
+    # printed ratio is bit-identical to it
+    rows = search.deviation_grid_costs(instance, lambda_grid, config,
+                                       seed=seed)
+    base = social_cost(instance, wardrop(instance, None, config).flow)
+    click.echo(_fmt(max(cost for _, cost in rows) / base))
     if dump_grid is not None:
-        rows = search.deviation_grid_costs(instance, lambda_grid, config,
-                                           seed=seed)
         with open(dump_grid, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["lambdas", "cost"])

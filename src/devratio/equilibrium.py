@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from .core import (Commodity, Deviation, Flow, Instance, Path,
                    enumerate_paths, sample_grid, social_cost)
-from .errors import NonMonotonePerceived, NotConverged
+from .errors import InvalidInstance, NonMonotonePerceived, NotConverged
 
 _GAP_DENOM_FLOOR = 1e-12
 
@@ -97,6 +97,11 @@ def shortest_path(instance: Instance, costs: dict[str, float],
     return tuple(reversed(path)), dist[sink]
 
 
+def _unreachable(commodity: Commodity) -> InvalidInstance:
+    return InvalidInstance(
+        f"sink {commodity.sink!r} unreachable from {commodity.source!r}")
+
+
 def beckmann_potential(instance: Instance, flow: Flow,
                        deviation: Deviation | None) -> float:
     total = 0.0
@@ -117,7 +122,8 @@ def relative_gap(instance: Instance, flow: Flow,
     den = 0.0
     for commodity, paths in zip(instance.commodities, flow.commodity_paths):
         best = shortest_path(instance, costs, commodity.source, commodity.sink)
-        assert best is not None, "sink unreachable"
+        if best is None:
+            raise _unreachable(commodity)
         _, shortest = best
         avg = sum(v * sum(costs[a] for a in p) for p, v in paths.items())
         num += avg - commodity.demand * shortest
@@ -181,7 +187,8 @@ def wardrop(instance: Instance, deviation: Deviation | None = None,
         for commodity in instance.commodities:
             best = shortest_path(instance, zero_costs,
                                  commodity.source, commodity.sink)
-            assert best is not None, "sink unreachable"
+            if best is None:
+                raise _unreachable(commodity)
             states.append(_CommodityState(commodity, {best[0]: commodity.demand}))
     else:
         for commodity, paths in zip(instance.commodities, initial_paths):
@@ -208,7 +215,8 @@ def wardrop(instance: Instance, deviation: Deviation | None = None,
         for state in states:
             best = shortest_path(instance, costs, state.commodity.source,
                                  state.commodity.sink)
-            assert best is not None
+            if best is None:
+                raise _unreachable(state.commodity)
             state.flows.setdefault(best[0], 0.0)
 
         for state in states:
@@ -253,7 +261,8 @@ def verify_nash(instance: Instance, flow: Flow,
     for i, (commodity, paths) in enumerate(
             zip(instance.commodities, flow.commodity_paths)):
         best = shortest_path(instance, costs, commodity.source, commodity.sink)
-        assert best is not None, "sink unreachable"
+        if best is None:
+            raise _unreachable(commodity)
         _, shortest = best
         for path, value in paths.items():
             if value <= 1e-15:

@@ -5,20 +5,22 @@ cost l_a + theta^max_a and whose reversed arcs (one per flow-carrying arc)
 carry cost -(l_a + theta^min_a), both evaluated at the given arc flows. On
 common-source instances the flow is inducible if and only if this graph
 has no negative-cost cycle; shortest-path potentials then recover an
-inducing deviation. A grid-search oracle over per-arc deviation values
-provides an independent check on small instances.
+inducing deviation. With several sources the cycle test fails (remark
+B1); the oracle decides inducibility there by an exact margin LP over
+per-arc deviation values and per-commodity potentials, for any number of
+sources.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
-from .core import (SUPPORT_EPS, Curve, Deviation, Flow, Instance,
-                   enumerate_paths)
-from .errors import (ConstructionFailed, NotCommonSource, NotInducible,
-                     TooLarge)
+from .core import SUPPORT_EPS, Curve, Deviation, Flow, Instance
+from .equilibrium import verify_nash
+from .errors import ConstructionFailed, NotCommonSource, NotInducible
 
 
 @dataclass(frozen=True)
@@ -195,7 +197,6 @@ def recover_deviation(instance: Instance, flow: Flow) -> Deviation:
                 curves[arc.id] = Curve.constant(value)
     deviation = Deviation({a: c for a, c in curves.items()
                            if c.kind != "poly" or any(c.data)})
-    from .equilibrium import verify_nash
     violations = verify_nash(instance, flow, deviation, eps=1e-7)
     if violations:
         raise ConstructionFailed(
@@ -206,109 +207,75 @@ def recover_deviation(instance: Instance, flow: Flow) -> Deviation:
 @dataclass(frozen=True)
 class OracleResult:
     inducible: bool
-    #: smallest worst-constraint violation over the grid (0 when inducible)
+    #: least worst-path violation over feasible deviations (0 when inducible)
     margin: float
-    #: largest per-arc grid spacing actually used
+    #: resolution of the decision; the margin LP is exact, so always 0
     step: float
 
     def __bool__(self) -> bool:
         return self.inducible
 
 
-def oracle_inducible(instance: Instance, flow: Flow,
-                     grid_resolution: float = 1e-2,
-                     budget: int = 2_000_000,
-                     path_cap: int = 10000) -> OracleResult:
-    """Brute-force feasibility check over per-arc deviation values.
+def oracle_inducible(instance: Instance, flow: Flow) -> OracleResult:
+    """Exact inducibility decision by one margin LP; any number of sources.
 
-    Each arc's deviation value at its flow ranges over an even grid inside
-    [theta^min, theta^max]; a grid point is feasible when every
-    flow-carrying path is a shortest perceived path for its commodity
-    (within 1e-9). Borderline verdicts are sharpened by zooming the grid
-    onto the least-violating point; the reported step stays that of the
-    initial grid, so "margin below the step" still marks the resolution
-    limit. Works for any number of sources.
+    Variables are the deviation values delta_a in [theta^min_a, theta^max_a]
+    at the flow point, one potential vector pi^i per commodity and the
+    margin t >= 0. Arc rows pi^i_head - pi^i_tail - delta_a <= l_a keep
+    pi^i_sink - pi^i_source below commodity i's shortest perceived path;
+    each flow-carrying path P of commodity i adds
+    c_P(delta) - (pi^i_sink - pi^i_source) <= t. The least t is the least
+    worst violation of the equilibrium conditions, which is the toll
+    enforcement LP with two-sided toll bounds. The reported margin is
+    re-measured with verify_nash at the LP's deviation clamped into its
+    bounds, so it is a violation that a feasible deviation reaches.
     """
     thresholds = instance.thresholds
-    arc_ids = [a.id for a in instance.arcs]
-    lows, highs = [], []
-    for arc in instance.arcs:
-        x = flow.arc_flow(arc.id)
-        lows.append(thresholds.theta_min(arc, x))
-        highs.append(thresholds.theta_max(arc, x))
-    ranges = [hi - lo for lo, hi in zip(lows, highs)]
-    varying = [i for i, r in enumerate(ranges) if r > 1e-15]
+    arcs = instance.arcs
+    n_arcs, n_nodes = len(arcs), len(instance.nodes)
+    node_index = {v: j for j, v in enumerate(instance.nodes)}
+    arc_index = {a.id: j for j, a in enumerate(arcs)}
+    n_vars = n_arcs + n_nodes * len(instance.commodities) + 1
+    xs = [flow.arc_flow(a.id) for a in arcs]
+    base = [a.latency.eval(x) for a, x in zip(arcs, xs)]
+    entries: list[tuple[int, int, float]] = []  # (row, column, value)
+    rhs: list[float] = []
 
-    points = max(2, round(1.0 / grid_resolution) + 1)
-    if varying:
-        while points > 3 and points ** len(varying) > budget:
-            points -= 1
-        if points ** len(varying) > budget:
-            raise TooLarge(
-                f"deviation grid needs {points ** len(varying)} points, "
-                f"budget is {budget}")
+    def add_row(coefs: list[tuple[int, float]], bound: float) -> None:
+        entries.extend((len(rhs), col, val) for col, val in coefs)
+        rhs.append(bound)
 
-    base_costs = np.array([instance.arcs_by_id[a].latency.eval(flow.arc_flow(a))
-                           for a in arc_ids])
-    arc_index = {a: i for i, a in enumerate(arc_ids)}
-    incidences = []
-    for commodity, paths in zip(instance.commodities, flow.commodity_paths):
-        all_paths = enumerate_paths(instance, commodity, path_cap)
-        inc = np.zeros((len(all_paths), len(arc_ids)))
-        for j, path in enumerate(all_paths):
-            for a in path:
-                inc[j, arc_index[a]] += 1.0
-        carrying = [j for j, p in enumerate(all_paths)
-                    if paths.get(p, 0.0) > SUPPORT_EPS]
-        incidences.append((inc, carrying))
-
-    def sweep(axes: list[np.ndarray]) -> tuple[float, np.ndarray]:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        deltas = np.stack([m.ravel() for m in mesh], axis=1)  # (N, |A|)
-        worst = np.zeros(deltas.shape[0])
-        for inc, carrying in incidences:
-            if not carrying:
-                continue
-            costs = (inc @ base_costs)[None, :] + deltas @ inc.T  # (N, P)
-            viol = costs[:, carrying].max(axis=1) - costs.min(axis=1)
-            np.maximum(worst, viol, out=worst)
-        k = int(np.argmin(worst))
-        return float(worst[k]), deltas[k]
-
-    def make_axes(centers: np.ndarray | None, span: float) -> list[np.ndarray]:
-        axes = []
-        for i in range(len(arc_ids)):
-            if ranges[i] <= 1e-15:
-                axes.append(np.array([0.0 if lows[i] <= 0.0 <= highs[i]
-                                      else lows[i]]))
-                continue
-            if centers is None:
-                lo, hi = lows[i], highs[i]
-            else:
-                lo = max(lows[i], centers[i] - span * ranges[i])
-                hi = min(highs[i], centers[i] + span * ranges[i])
-            grid = np.linspace(lo, hi, points)
-            if centers is None and lo <= 0.0 <= hi:
-                # keep the zero deviation on the grid so a plain Nash flow
-                # is always recognized
-                grid = np.unique(np.append(grid, 0.0))
-            axes.append(grid)
-        return axes
-
-    step = max((ranges[i] / (points - 1) for i in varying), default=0.0)
-    margin, best = sweep(make_axes(None, 0.0))
-    # Borderline infeasible verdicts get sharpened: the true minimizer lies
-    # within one step of the best grid point, so zoom the window onto it
-    # (each round shrinks the effective step by (points-1)/2).
-    span = 1.0 / max(points - 1, 1)
-    for _ in range(5):
-        if margin <= 1e-9 or margin >= 2.0 * step or not varying:
-            break
-        new_margin, new_best = sweep(make_axes(best, span))
-        if new_margin < margin:
-            margin, best = new_margin, new_best
-        span *= 2.0 / max(points - 1, 1)
-    return OracleResult(margin <= 1e-9, max(margin, 0.0), step)
+    for i, (commodity, paths) in enumerate(zip(instance.commodities,
+                                               flow.commodity_paths)):
+        pi = n_arcs + i * n_nodes
+        for j, arc in enumerate(arcs):
+            add_row([(pi + node_index[arc.head], 1.0),
+                     (pi + node_index[arc.tail], -1.0), (j, -1.0)], base[j])
+        for path, value in paths.items():
+            if value > SUPPORT_EPS:
+                add_row([(arc_index[a], 1.0) for a in path]
+                        + [(pi + node_index[commodity.sink], -1.0),
+                           (pi + node_index[commodity.source], 1.0),
+                           (n_vars - 1, -1.0)],
+                        -sum(base[arc_index[a]] for a in path))
+    rows, cols, vals = zip(*entries)
+    a_ub = coo_array((vals, (rows, cols)), shape=(len(rhs), n_vars))
+    lows = [thresholds.theta_min(a, x) for a, x in zip(arcs, xs)]
+    highs = [thresholds.theta_max(a, x) for a, x in zip(arcs, xs)]
+    bounds = (list(zip(lows, highs))
+              + [(None, None)] * (n_vars - n_arcs - 1) + [(0.0, None)])
+    cost = [0.0] * (n_vars - 1) + [1.0]
+    result = linprog(cost, A_ub=a_ub, b_ub=rhs, bounds=bounds,
+                     method="highs")
+    if result.status != 0:
+        raise ConstructionFailed(f"margin LP failed: {result.message}")
+    delta = {a.id: min(max(float(v), lo), hi)
+             for a, v, lo, hi in zip(arcs, result.x, lows, highs)}
+    violations = verify_nash(instance, flow, Deviation.constants(delta),
+                             eps=0.0)
+    margin = max((v["latency"] - v["shortest"] for v in violations
+                  if v["flow"] > SUPPORT_EPS), default=0.0)
+    return OracleResult(margin <= 1e-9, margin, step=0.0)
 
 
 def check_path_inequalities(instance: Instance, flow: Flow,

@@ -132,7 +132,7 @@ def random_common_source_instance(rng: random.Random, max_nodes: int = 8,
             arcs.append(Arc(f"a{arc_no:02d}", nodes[i], nodes[j],
                             Curve.poly([c0, c1])))
             arc_no += 1
-    k = rng.randint(1, max_commodities)
+    k = rng.randint(1, min(max_commodities, n - 1))
     sinks = rng.sample(nodes[1:], k)
     commodities = [Commodity(nodes[0], sink, round(rng.uniform(1.0, 2.0), 3))
                    for sink in sinks]

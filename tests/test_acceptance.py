@@ -88,7 +88,7 @@ def test_criterion_2_upper_bound_dominance():
 
 
 def test_criterion_3_inducibility_equivalence():
-    with criterion(3, "cycle test vs grid oracle on 200 flow pairs"):
+    with criterion(3, "cycle test vs margin LP on 200 flow pairs"):
         start = time.monotonic()
         rng = random.Random(7)
         agree = flagged = inducible_count = 0

@@ -86,6 +86,24 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "no-such-file.json"])
         assert result.exit_code == 2
 
+    def test_missing_key_is_usage_error(self, runner, tmp_path):
+        out = gen(runner, tmp_path, "braess", "--m", "2")
+        spec = json.loads(out.read_text())
+        del spec["arcs"]
+        out.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["solve", str(out)])
+        assert result.exit_code == 2
+        assert "'arcs'" in result.output
+
+    def test_unreachable_sink_is_domain_error(self, runner, tmp_path):
+        out = gen(runner, tmp_path, "braess", "--m", "2")
+        spec = json.loads(out.read_text())
+        spec["arcs"] = [a for a in spec["arcs"] if a["head"] != "t"]
+        out.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["solve", str(out)])
+        assert result.exit_code == 3
+        assert "unreachable" in result.output
+
 
 class TestInduce:
     def test_inducible_flow_emits_deviation(self, runner, tmp_path):

@@ -177,6 +177,15 @@ class TestOracle:
         assert not verdict.inducible
         assert verdict.margin == pytest.approx(0.25, abs=1e-6)
 
+    @pytest.mark.parametrize("m", [5, 6, 7, 8])
+    def test_braess_with_many_arcs(self, m):
+        case = braess(m, 1.0)
+        tight = retighten(case.instance, 0.0, 0.5)
+        assert oracle_inducible(case.instance, case.x).inducible
+        assert is_inducible(case.instance, case.x).inducible
+        assert not oracle_inducible(tight, case.x).inducible
+        assert not is_inducible(tight, case.x).inducible
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=10, deadline=None)
     def test_matches_cycle_test_on_tiny_instances(self, seed):

@@ -138,3 +138,11 @@ class TestRandomSamplers:
         a = random_common_source_instance(random.Random(5))
         b = random_common_source_instance(random.Random(5))
         assert a.to_json() == b.to_json()
+
+    def test_commodities_clamped_to_sinks(self):
+        for seed in range(50):
+            inst = random_common_source_instance(
+                random.Random(seed), max_nodes=3, max_commodities=5)
+            sinks = [c.sink for c in inst.commodities]
+            assert 1 <= len(sinks) <= inst.n_nodes - 1
+            assert len(set(sinks)) == len(sinks)
