@@ -20,8 +20,8 @@ from . import generators, search
 from .alternating import bound_alpha_beta, build_alt_path_tree
 from .core import Curve, Deviation, Flow, Instance, social_cost
 from .equilibrium import SolverConfig, wardrop, worst_equilibrium_cost
-from .errors import (DevRatioError, InvalidInstance, NotConverged,
-                     NotCommonSource)
+from .errors import (DevRatioError, InvalidConfig, InvalidInstance,
+                     NotConverged, NotCommonSource)
 from .generators import _fibonacci_numbers
 from .inducibility import is_inducible, recover_deviation
 
@@ -45,14 +45,28 @@ def domain_errors(func):
     return wrapper
 
 
-def _load_instance(path: str) -> Instance:
-    with open(path) as fh:
-        spec = json.load(fh)
+def _load_json(path: str, what: str, build):
+    """build(spec) on the JSON in path; malformed JSON, a missing key or a
+    malformed value (such as an unknown curve spec) is a usage error that
+    names it."""
     try:
-        return Instance.from_json(spec)
+        with open(path) as fh:
+            return build(json.load(fh))
     except KeyError as exc:
-        raise click.UsageError(
-            f"instance {path} lacks the key {exc.args[0]!r}")
+        raise click.UsageError(f"{what} {path} lacks the key {exc.args[0]!r}")
+    except ValueError as exc:
+        raise click.UsageError(f"{what} {path}: {exc}")
+
+
+def _load_instance(path: str) -> Instance:
+    return _load_json(path, "instance", Instance.from_json)
+
+
+def _solver_config(tol: float) -> SolverConfig:
+    try:
+        return SolverConfig(relative_gap_tol=tol)
+    except InvalidConfig as exc:
+        raise click.UsageError(f"--tol: {exc}")
 
 
 def _parse_poly(text: str) -> Curve:
@@ -159,13 +173,13 @@ def generate(family, m, beta, r, p, ramp_delta, epsilon, poly, nodes, arcs,
 @domain_errors
 def solve(instance_path, deviation_path, tol, out) -> None:
     """Compute an equilibrium flow and print its cost and gap."""
+    config = _solver_config(tol)
     instance = _load_instance(instance_path)
     deviation = None
     if deviation_path is not None:
-        with open(deviation_path) as fh:
-            deviation = Deviation.from_json(json.load(fh))
-    result = wardrop(instance, deviation,
-                     SolverConfig(relative_gap_tol=tol))
+        deviation = _load_json(deviation_path, "deviation",
+                               Deviation.from_json)
+    result = wardrop(instance, deviation, config)
     cost = social_cost(instance, result.flow)
     click.echo(f"C={_fmt(cost)} gap={result.relative_gap:.3e} "
                f"iterations={result.iterations}")
@@ -186,8 +200,8 @@ def solve(instance_path, deviation_path, tol, out) -> None:
 def induce(instance_path, flow_path, out) -> None:
     """Decide inducibility; emit a deviation or a witness cycle."""
     instance = _load_instance(instance_path)
-    with open(flow_path) as fh:
-        flow = Flow.from_json(instance, json.load(fh))
+    flow = _load_json(flow_path, "flow",
+                      lambda spec: Flow.from_json(instance, spec))
     try:
         verdict = is_inducible(instance, flow)
     except NotCommonSource as exc:
@@ -329,13 +343,14 @@ def bound_hetero(taus, demands, beta) -> None:
 @click.argument("instance_path", type=click.Path(exists=True))
 @click.option("--lambda-grid", type=int, default=4)
 @click.option("--tol", type=float, default=1e-8)
-@click.option("--seed", type=int, required=True)
+@click.option("--seed", type=int, required=True,
+              help="unused: the search is deterministic")
 @click.option("--dump-grid", type=click.Path(), default=None)
 @domain_errors
 def ratio(instance_path, lambda_grid, tol, seed, dump_grid) -> None:
     """Empirical deviation ratio from a lambda-grid search."""
+    config = _solver_config(tol)
     instance = _load_instance(instance_path)
-    config = SolverConfig(relative_gap_tol=tol)
     # the same calls in the same order as search.empirical_dr, so the
     # printed ratio is bit-identical to it
     rows = search.deviation_grid_costs(instance, lambda_grid, config,

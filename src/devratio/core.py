@@ -57,7 +57,8 @@ class Curve:
             raise ValueError("pwl curve needs at least one breakpoint")
         for (x0, _), (x1, _) in zip(pts, pts[1:]):
             if x1 <= x0:
-                raise ValueError("pwl breakpoints must be strictly increasing in x")
+                raise ValueError("pwl breakpoints must be strictly increasing "
+                                 f"in x: {[list(p) for p in pts]}")
         return cls("pwl", pts)
 
     @classmethod

@@ -6,18 +6,22 @@ equilibration (pairwise shifts between the most and least expensive active
 paths, with an exact root search on the potential derivative) with column
 generation: new paths enter via shortest-path computations on the arc
 graph, which also certify the equilibrium gap against the full path space.
+
+Every equilibrium shares the perceived arc costs of the solved one, so the
+worst equilibrium cost is exact: one LP over the face of equilibrium flows.
 """
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linprog
+from scipy.sparse import coo_array
 
-from .core import (Commodity, Deviation, Flow, Instance, Path,
-                   enumerate_paths, sample_grid, social_cost)
-from .errors import InvalidInstance, NonMonotonePerceived, NotConverged
+from .core import (SUPPORT_EPS, Arc, Commodity, Deviation, Flow, Instance,
+                   Path, sample_grid, social_cost)
+from .errors import (ConstructionFailed, InvalidConfig, InvalidInstance,
+                     NonLinearFace, NonMonotonePerceived, NotConverged)
 
 _GAP_DENOM_FLOOR = 1e-12
 
@@ -26,12 +30,14 @@ _GAP_DENOM_FLOOR = 1e-12
 class SolverConfig:
     relative_gap_tol: float = 1e-8
     max_iterations: int = 200000
-    restarts: int = 5
-    path_cap: int = 10000
 
     def __post_init__(self):
-        assert self.relative_gap_tol > 0.0
-        assert self.max_iterations >= 1
+        if not self.relative_gap_tol > 0.0:
+            raise InvalidConfig("relative gap tolerance must be positive, "
+                                f"got {self.relative_gap_tol!r}")
+        if not self.max_iterations >= 1:
+            raise InvalidConfig("max_iterations must be at least 1, "
+                                f"got {self.max_iterations!r}")
 
 
 @dataclass(frozen=True)
@@ -70,9 +76,11 @@ def check_monotone_perceived(instance: Instance,
             prev = value
 
 
-def shortest_path(instance: Instance, costs: dict[str, float],
-                  source: str, sink: str) -> tuple[Path, float] | None:
-    """Deterministic Bellman-Ford; ties broken by arc-id relaxation order."""
+def _distances(instance: Instance, costs: dict[str, float], source: str
+               ) -> tuple[dict[str, float], dict[str, str]]:
+    """Deterministic Bellman-Ford from source: the distance of every node
+    (inf where unreachable) and the predecessor arc of every reached node
+    but the source; ties broken by arc-id relaxation order."""
     dist = {v: math.inf for v in instance.nodes}
     pred: dict[str, str] = {}
     dist[source] = 0.0
@@ -86,6 +94,13 @@ def shortest_path(instance: Instance, costs: dict[str, float],
                 changed = True
         if not changed:
             break
+    return dist, pred
+
+
+def shortest_path(instance: Instance, costs: dict[str, float],
+                  source: str, sink: str) -> tuple[Path, float] | None:
+    """Deterministic Bellman-Ford; ties broken by arc-id relaxation order."""
+    dist, pred = _distances(instance, costs, source)
     if not math.isfinite(dist[sink]):
         return None
     path: list[str] = []
@@ -274,23 +289,156 @@ def verify_nash(instance: Instance, flow: Flow,
     return report
 
 
+class _SparseRows:
+    """Rows of a sparse LP constraint matrix, added one row at a time."""
+
+    def __init__(self):
+        self.entries: list[tuple[int, int, float]] = []  # (row, column, value)
+        self.rhs: list[float] = []
+
+    def add(self, coefs: list[tuple[int, float]], bound: float) -> None:
+        self.entries.extend((len(self.rhs), col, val) for col, val in coefs)
+        self.rhs.append(bound)
+
+    def matrix(self, n_cols: int) -> coo_array:
+        rows, cols, vals = zip(*self.entries)
+        return coo_array((vals, (rows, cols)), shape=(len(self.rhs), n_cols))
+
+
+def _face(instance: Instance, deviation: Deviation | None, arc: Arc,
+          x: float, q: float, eps: float) -> tuple[float, float]:
+    """The interval [lo, hi] of flows in [0, total demand] on which the
+    perceived cost q_a equals q = q_a(x).
+
+    q_a is non-decreasing and a polynomial between the merged breakpoints
+    of l_a and delta_a, so the interval is a point or a plateau whose ends
+    lie among those breakpoints, 0 and the total demand. Plateaus no
+    longer than the solver's accuracy collapse to the point x.
+    """
+    total = instance.total_demand
+    candidates = {0.0, total, *arc.latency.breakpoint_xs()}
+    if deviation is not None and arc.id in deviation.curves:
+        candidates.update(deviation.curves[arc.id].breakpoint_xs())
+    tol = eps * max(1.0, abs(q))
+    on = [x] + [p for p in candidates if 0.0 <= p <= total and abs(
+        perceived_cost(instance, deviation, arc.id, p) - q) <= tol]
+    lo, hi = min(on), max(on)
+    if hi - lo <= eps * max(1.0, total):
+        return x, x
+    return lo, hi
+
+
+def _arc_on_cycle(arcs: list[Arc]) -> str | None:
+    """Id of an arc on a directed cycle among ``arcs``, or None."""
+    indegree: dict[str, int] = {}
+    out: dict[str, list[Arc]] = {}
+    for arc in arcs:
+        indegree[arc.head] = indegree.get(arc.head, 0) + 1
+        out.setdefault(arc.tail, []).append(arc)
+    # peel nodes without in-arcs; every node left in `out` then has an
+    # in-arc from a node also left there, so walking in-arcs back repeats
+    ready = [v for v in out if v not in indegree]
+    while ready:
+        for arc in out.pop(ready.pop()):
+            indegree[arc.head] -= 1
+            if indegree[arc.head] == 0 and arc.head in out:
+                ready.append(arc.head)
+    into = {arc.head: arc for arc in arcs if arc.tail in out}
+    if not into:
+        return None
+    node, seen = next(iter(into)), set()
+    while node not in seen:
+        seen.add(node)
+        node = into[node].tail
+    return into[node].id
+
+
 def worst_equilibrium_cost(instance: Instance,
                            deviation: Deviation | None = None,
                            config: SolverConfig = SolverConfig(),
                            seed: int = 0) -> float:
-    """Best-effort worst Nash flow cost: the max social cost over restarts
-    from randomized initial path assignments. A lower estimate of the true
-    worst-equilibrium cost in general."""
-    rng = random.Random(seed)
-    best = social_cost(instance, wardrop(instance, deviation, config).flow)
-    for _ in range(config.restarts - 1):
-        initial = []
-        for commodity in instance.commodities:
-            paths = enumerate_paths(instance, commodity, config.path_cap)
-            weights = [rng.random() for _ in paths]
-            total = sum(weights)
-            initial.append({p: commodity.demand * w / total
-                            for p, w in zip(paths, weights)})
-        result = wardrop(instance, deviation, config, initial_paths=initial)
-        best = max(best, social_cost(instance, result.flow))
-    return best
+    """Exact worst Nash flow cost under the perceived latencies l + delta.
+
+    Every equilibrium has the perceived arc costs q*_a of the solved one
+    (Beckmann, McGuire & Winsten 1956), so the equilibria are the flows
+    that keep each arc flow in its interval [lo_a, hi_a] where q_a = q*_a
+    and route commodity i only over arcs of zero reduced cost under its
+    shortest-path distances. When every interval is a point the arc flows
+    of all equilibria agree and the solved cost is returned. Otherwise
+    l_a is constant on each interval, the cost is linear on that
+    polytope, and one sparse LP gives its maximum; the solved cost is
+    returned unless the LP beats it by more than the tolerance. Exact up
+    to the solver tolerance. ``seed`` is unused; it is kept for callers
+    that pass it.
+
+    Raises NonLinearFace when l_a varies on an arc's interval, or when
+    arcs of zero reduced cost form a directed cycle.
+    """
+    solved = wardrop(instance, deviation, config).flow
+    cost = social_cost(instance, solved)
+    eps = 10.0 * config.relative_gap_tol
+    x = solved.arc_flows
+    q_star = {a.id: perceived_cost(instance, deviation, a.id, x[a.id])
+              for a in instance.arcs}
+    faces = {a.id: _face(instance, deviation, a, x[a.id], q_star[a.id], eps)
+             for a in instance.arcs}
+    if all(lo == hi for lo, hi in faces.values()):
+        return cost
+    levels = {}  # l_a on its interval
+    for arc in instance.arcs:
+        lo, hi = faces[arc.id]
+        levels[arc.id] = arc.latency.eval(lo)
+        if arc.latency.eval(hi) - levels[arc.id] > eps * max(
+                1.0, levels[arc.id]):
+            raise NonLinearFace(
+                f"latency of arc {arc.id!r} varies on its equilibrium "
+                f"interval [{lo:.6g}, {hi:.6g}], so the cost is not linear "
+                "over the equilibria")
+
+    # (commodity, arc) pairs of zero reduced cost, plus the ones the solved
+    # flow uses so that it stays feasible whatever the rounding
+    columns: list[tuple[int, Arc]] = []
+    for i, commodity in enumerate(instance.commodities):
+        dist, _ = _distances(instance, q_star, commodity.source)
+        tol = eps * max(1.0, dist[commodity.sink])
+        carried = solved.commodity_arc_flows[i]
+        tight = [a for a in instance.arcs
+                 if faces[a.id][1] > SUPPORT_EPS
+                 and math.isfinite(dist[a.tail])
+                 and (carried[a.id] > SUPPORT_EPS
+                      or dist[a.tail] + q_star[a.id] - dist[a.head] <= tol)]
+        closing = _arc_on_cycle(tight)
+        if closing is not None:
+            raise NonLinearFace(
+                f"arc {closing!r} lies on a cycle of zero perceived cost, "
+                "so flow could circulate in an equilibrium")
+        columns += [(i, a) for a in tight]
+
+    conservation, capacity = _SparseRows(), _SparseRows()
+    balance: dict[tuple[int, str], list[tuple[int, float]]] = {}
+    per_arc: dict[str, list[int]] = {}
+    for col, (i, arc) in enumerate(columns):
+        balance.setdefault((i, arc.tail), []).append((col, 1.0))
+        balance.setdefault((i, arc.head), []).append((col, -1.0))
+        per_arc.setdefault(arc.id, []).append(col)
+    for i, commodity in enumerate(instance.commodities):
+        for node in instance.nodes:
+            supply = (commodity.demand if node == commodity.source
+                      else -commodity.demand if node == commodity.sink
+                      else 0.0)
+            conservation.add(balance.get((i, node), []), supply)
+    for arc_id, cols in per_arc.items():
+        lo, hi = faces[arc_id]
+        capacity.add([(col, 1.0) for col in cols], hi)
+        capacity.add([(col, -1.0) for col in cols], -lo)
+    objective = [-levels[arc.id] for _, arc in columns]
+    result = linprog(objective, A_ub=capacity.matrix(len(columns)),
+                     b_ub=capacity.rhs,
+                     A_eq=conservation.matrix(len(columns)),
+                     b_eq=conservation.rhs, bounds=(0.0, None),
+                     method="highs")
+    if result.status != 0:
+        raise ConstructionFailed(
+            f"equilibrium-face LP failed: {result.message}")
+    worst = -result.fun
+    return worst if worst > cost + eps * max(1.0, cost) else cost

@@ -35,6 +35,16 @@ class NotConverged(DevRatioError):
         self.iterations = iterations
 
 
+class InvalidConfig(DevRatioError):
+    """Solver settings out of range."""
+
+
+class NonLinearFace(DevRatioError):
+    """The worst equilibrium is not one LP: an arc's latency varies over
+    the flows its equilibria may put on it, or arcs of zero perceived cost
+    form a cycle that equilibrium flow could circulate on."""
+
+
 class NotCommonSource(DevRatioError):
     """Operation requires all commodities to share a single source node.
 

@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 
 from scipy.optimize import linprog
-from scipy.sparse import coo_array
 
 from .core import SUPPORT_EPS, Curve, Deviation, Flow, Instance
-from .equilibrium import verify_nash
+from .equilibrium import _SparseRows, verify_nash
 from .errors import ConstructionFailed, NotCommonSource, NotInducible
 
 
@@ -238,35 +237,27 @@ def oracle_inducible(instance: Instance, flow: Flow) -> OracleResult:
     n_vars = n_arcs + n_nodes * len(instance.commodities) + 1
     xs = [flow.arc_flow(a.id) for a in arcs]
     base = [a.latency.eval(x) for a, x in zip(arcs, xs)]
-    entries: list[tuple[int, int, float]] = []  # (row, column, value)
-    rhs: list[float] = []
-
-    def add_row(coefs: list[tuple[int, float]], bound: float) -> None:
-        entries.extend((len(rhs), col, val) for col, val in coefs)
-        rhs.append(bound)
-
+    rows = _SparseRows()
     for i, (commodity, paths) in enumerate(zip(instance.commodities,
                                                flow.commodity_paths)):
         pi = n_arcs + i * n_nodes
         for j, arc in enumerate(arcs):
-            add_row([(pi + node_index[arc.head], 1.0),
-                     (pi + node_index[arc.tail], -1.0), (j, -1.0)], base[j])
+            rows.add([(pi + node_index[arc.head], 1.0),
+                      (pi + node_index[arc.tail], -1.0), (j, -1.0)], base[j])
         for path, value in paths.items():
             if value > SUPPORT_EPS:
-                add_row([(arc_index[a], 1.0) for a in path]
-                        + [(pi + node_index[commodity.sink], -1.0),
-                           (pi + node_index[commodity.source], 1.0),
-                           (n_vars - 1, -1.0)],
-                        -sum(base[arc_index[a]] for a in path))
-    rows, cols, vals = zip(*entries)
-    a_ub = coo_array((vals, (rows, cols)), shape=(len(rhs), n_vars))
+                rows.add([(arc_index[a], 1.0) for a in path]
+                         + [(pi + node_index[commodity.sink], -1.0),
+                            (pi + node_index[commodity.source], 1.0),
+                            (n_vars - 1, -1.0)],
+                         -sum(base[arc_index[a]] for a in path))
     lows = [thresholds.theta_min(a, x) for a, x in zip(arcs, xs)]
     highs = [thresholds.theta_max(a, x) for a, x in zip(arcs, xs)]
     bounds = (list(zip(lows, highs))
               + [(None, None)] * (n_vars - n_arcs - 1) + [(0.0, None)])
     cost = [0.0] * (n_vars - 1) + [1.0]
-    result = linprog(cost, A_ub=a_ub, b_ub=rhs, bounds=bounds,
-                     method="highs")
+    result = linprog(cost, A_ub=rows.matrix(n_vars), b_ub=rows.rhs,
+                     bounds=bounds, method="highs")
     if result.status != 0:
         raise ConstructionFailed(f"margin LP failed: {result.message}")
     delta = {a.id: min(max(float(v), lo), hi)

@@ -62,7 +62,7 @@ def worst_deviation(instance: Instance, lambda_grid: int = 4,
                     config: SolverConfig = SolverConfig(),
                     budget: int = _DEFAULT_COMBO_BUDGET,
                     seed: int = 0) -> tuple[Deviation, float]:
-    """Grid argmax of the (worst-restart) equilibrium cost."""
+    """Grid argmax of the worst equilibrium cost. ``seed`` is unused."""
     _require_zero_theta_min(instance)
     best: tuple[Deviation, float] | None = None
     for _, deviation in _lambda_deviations(instance, lambda_grid, budget):
@@ -93,7 +93,8 @@ def deviation_grid_costs(instance: Instance, lambda_grid: int = 4,
                          config: SolverConfig = SolverConfig(),
                          budget: int = _DEFAULT_COMBO_BUDGET,
                          seed: int = 0) -> list[tuple[tuple, float]]:
-    """(lambda vector, worst-restart cost) for every grid point."""
+    """(lambda vector, worst equilibrium cost) for every grid point.
+    ``seed`` is unused."""
     _require_zero_theta_min(instance)
     return [(combo, worst_equilibrium_cost(instance, deviation, config, seed))
             for combo, deviation
@@ -104,7 +105,8 @@ def empirical_dr(instance: Instance, lambda_grid: int = 4,
                  config: SolverConfig = SolverConfig(),
                  budget: int = _DEFAULT_COMBO_BUDGET,
                  seed: int = 0) -> float:
-    """Lower bound on the deviation ratio from the lambda grid."""
+    """Lower bound on the deviation ratio from the lambda grid. ``seed`` is
+    unused."""
     _, worst = worst_deviation(instance, lambda_grid, config, budget, seed)
     base = social_cost(instance, wardrop(instance, None, config).flow)
     return worst / base

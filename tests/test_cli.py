@@ -95,6 +95,25 @@ class TestSolve:
         assert result.exit_code == 2
         assert "'arcs'" in result.output
 
+    def test_zero_tol_is_usage_error(self, runner, tmp_path):
+        out = gen(runner, tmp_path, "braess", "--m", "2")
+        result = runner.invoke(main, ["solve", str(out), "--tol", "0"])
+        assert result.exit_code == 2
+        assert "tolerance must be positive" in result.output
+
+    @pytest.mark.parametrize("latency, named", [
+        ({"exp": 1}, "'exp'"),
+        ({"pwl": [[1.0, 0.0], [0.5, 1.0]]}, "[[1.0, 0.0], [0.5, 1.0]]")])
+    def test_bad_curve_spec_is_usage_error(self, runner, tmp_path, latency,
+                                           named):
+        out = gen(runner, tmp_path, "braess", "--m", "2")
+        spec = json.loads(out.read_text())
+        spec["arcs"][0]["latency"] = latency
+        out.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["solve", str(out)])
+        assert result.exit_code == 2
+        assert named in result.output
+
     def test_unreachable_sink_is_domain_error(self, runner, tmp_path):
         out = gen(runner, tmp_path, "braess", "--m", "2")
         spec = json.loads(out.read_text())
@@ -135,6 +154,15 @@ class TestInduce:
         assert "not inducible" in result.output
         assert "reachable" in result.output
         assert "+" in result.output and "-" in result.output
+
+    def test_flow_without_commodities_is_usage_error(self, runner,
+                                                     tmp_path):
+        out = gen(runner, tmp_path, "braess", "--m", "2")
+        flow_path = tmp_path / "flow.json"
+        flow_path.write_text(json.dumps({"x": 1}))
+        result = runner.invoke(main, ["induce", str(out), str(flow_path)])
+        assert result.exit_code == 2
+        assert "'commodities'" in result.output
 
     def test_multi_source_domain_error(self, runner, tmp_path):
         out = gen(runner, tmp_path, "remark-b1")
@@ -254,6 +282,18 @@ class TestReproduce:
         for row in rows:
             _, _, ratio, threshold = row.split(",")
             assert float(ratio) >= float(threshold) - 1e-9
+
+    def test_braess_sweep(self, runner, tmp_path):
+        out = tmp_path / "sweep.csv"
+        result = runner.invoke(main, ["reproduce", "braess-sweep", "--out",
+                                      str(out)])
+        assert result.exit_code == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert [tuple(r.split(",")[:2]) for r in rows] == [
+            (str(m), beta) for m in range(2, 9) for beta in ("0.5", "1", "2")]
+        for row in rows:
+            _, _, expected, observed, _ = map(float, row.split(","))
+            assert abs(observed - expected) <= 1e-4 * expected
 
     def test_dominance_needs_seed(self, runner, tmp_path):
         result = runner.invoke(main, ["reproduce", "dominance", "--out",

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from devratio.core import (Arc, Commodity, Curve, Deviation, Flow, Instance,
-                           social_cost)
+                           enumerate_paths, social_cost)
 from devratio.equilibrium import (SolverConfig, beckmann_potential,
                                   check_monotone_perceived, relative_gap,
                                   shortest_path, verify_nash, wardrop,
                                   worst_equilibrium_cost)
-from devratio.errors import NonMonotonePerceived
+from devratio.errors import InvalidConfig, NonLinearFace, NonMonotonePerceived
 from devratio.generators import braess
 from devratio.search import (random_common_source_instance,
                              random_feasible_deviation)
@@ -21,6 +21,15 @@ def pigou(l1: Curve, l2: Curve, demand: float = 1.0) -> Instance:
         [Arc("a1", "s", "t", l1), Arc("a2", "s", "t", l2)],
         [Commodity("s", "t", demand)],
     )
+
+
+class TestSolverConfig:
+    @pytest.mark.parametrize("fields", [{"relative_gap_tol": 0.0},
+                                        {"relative_gap_tol": -1e-8},
+                                        {"max_iterations": 0}])
+    def test_out_of_range_is_typed_error(self, fields):
+        with pytest.raises(InvalidConfig):
+            SolverConfig(**fields)
 
 
 class TestShortestPath:
@@ -221,3 +230,66 @@ class TestWorstEquilibriumCost:
             case.instance, wardrop(case.instance, case.deviation).flow)
         worst = worst_equilibrium_cost(case.instance, case.deviation, seed=0)
         assert worst >= single - 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_tied_arcs_take_the_costliest_equilibrium(self, seed):
+        # both arcs are perceived at 1, so every split is an equilibrium;
+        # routing everything over b costs 1.0, over a only 0.5
+        inst = pigou(Curve.constant(0.5), Curve.constant(1.0))
+        dev = Deviation.constants({"a1": 0.5})
+        worst = worst_equilibrium_cost(inst, dev, seed=seed)
+        assert worst == pytest.approx(1.0, abs=1e-12)
+
+    def test_large_braess_is_exact(self):
+        case = braess(10, 1.0)
+        worst = worst_equilibrium_cost(case.instance, case.deviation)
+        assert worst == pytest.approx(case.expected_ratio, rel=1e-9)
+
+    def test_latency_varying_on_face_is_typed_error(self):
+        # q = l + delta = 1 on a1 at every flow, but l = x is not
+        inst = pigou(Curve.poly([0.0, 1.0]), Curve.constant(1.0))
+        dev = Deviation({"a1": Curve.poly([1.0, -1.0])})
+        with pytest.raises(NonLinearFace, match="'a1'"):
+            worst_equilibrium_cost(inst, dev)
+
+    def test_zero_cost_cycle_is_typed_error(self):
+        zero, one = Curve.constant(0.0), Curve.constant(1.0)
+        inst = Instance(["s", "u", "w", "t"],
+                        [Arc("a", "s", "u", one), Arc("b", "u", "t", one),
+                         Arc("c", "u", "w", zero), Arc("d", "w", "u", zero)],
+                        [Commodity("s", "t", 1.0)])
+        with pytest.raises(NonLinearFace, match="cycle"):
+            worst_equilibrium_cost(inst)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_path_enumeration_on_constant_latencies(self, seed):
+        # with constant l and delta, the equilibria are the splits of each
+        # demand over the paths of least l + delta, so the worst cost is
+        # sum_i r_i * max l(P) over those paths
+        rng = random.Random(seed)
+        n = rng.randint(3, 6)
+        nodes = [f"v{i}" for i in range(n)]
+        arcs, deltas = [], {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if j == i + 1 or rng.random() < 0.5:
+                    arc_id = f"a{i}{j}"
+                    arcs.append(Arc(arc_id, nodes[i], nodes[j],
+                                    Curve.constant(rng.randint(1, 3))))
+                    deltas[arc_id] = rng.randint(0, 2)
+        sinks = rng.sample(nodes[1:], rng.randint(1, min(2, n - 1)))
+        inst = Instance(nodes, arcs, [Commodity("v0", t, rng.randint(1, 3))
+                                      for t in sinks])
+        expected = 0.0
+        for commodity in inst.commodities:
+            paths = enumerate_paths(inst, commodity)
+            length = {p: sum(inst.arcs_by_id[a].latency.eval(0.0)
+                             for a in p) for p in paths}
+            perceived = {p: length[p] + sum(deltas[a] for a in p)
+                         for p in paths}
+            least = min(perceived.values())
+            expected += commodity.demand * max(
+                length[p] for p in paths if perceived[p] == least)
+        worst = worst_equilibrium_cost(inst, Deviation.constants(deltas))
+        assert worst == pytest.approx(expected, rel=1e-9)
