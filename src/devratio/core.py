@@ -8,15 +8,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+from numpy.polynomial.polynomial import polyroots
 
 from .errors import InvalidInstance, PathExplosion
 
 #: Arc flows below this value are treated as zero (support cutoff).
 SUPPORT_EPS = 1e-10
-
-#: Samples per unit interval used by grid-based feasibility checks.
-GRID_DENSITY = 64
 
 
 # ---------------------------------------------------------------------------
@@ -92,34 +91,14 @@ class Curve:
             for k, c in enumerate(self.data):
                 acc += c * upper ** (k + 1) / (k + 1)
             return acc
-        total = 0.0
-        prev_x = 0.0
-        prev_y = self.eval(0.0)
-        for x, y in self.data:
-            if x <= 0.0:
-                prev_x, prev_y = max(x, 0.0), y if x >= 0.0 else self.eval(0.0)
-                continue
-            seg_end = min(x, upper)
-            if seg_end > prev_x:
-                y_end = self.eval(seg_end)
-                total += 0.5 * (prev_y + y_end) * (seg_end - prev_x)
-                prev_x, prev_y = seg_end, y_end
-            if x >= upper:
-                return total
-        if upper > prev_x:
-            y_end = self.eval(upper)
-            total += 0.5 * (prev_y + y_end) * (upper - prev_x)
-        return total
+        xs = critical_points([(1.0, self)], upper)
+        return sum(0.5 * (self.eval(a) + self.eval(b)) * (b - a)
+                   for a, b in zip(xs, xs[1:]))
 
     def scale(self, factor: float) -> "Curve":
         if self.kind == "poly":
             return Curve.poly([factor * c for c in self.data])
         return Curve("pwl", tuple((x, factor * y) for x, y in self.data))
-
-    def breakpoint_xs(self) -> tuple[float, ...]:
-        if self.kind == "pwl":
-            return tuple(x for x, _ in self.data)
-        return ()
 
     def to_json(self) -> dict:
         if self.kind == "poly":
@@ -152,13 +131,30 @@ def validate_latency(curve: Curve, name: str = "latency") -> None:
             raise InvalidInstance(f"{name}: breakpoints must be non-decreasing")
 
 
-def sample_grid(x_max: float, extra: Iterable[float] = ()) -> list[float]:
-    """Evaluation grid: GRID_DENSITY points per unit on [0, x_max] plus extras."""
-    x_max = max(x_max, 1.0)
-    n = int(x_max * GRID_DENSITY) + 1
-    pts = {i * x_max / (n - 1) for i in range(n)}
-    pts.update(x for x in extra if 0.0 <= x <= x_max)
-    return sorted(pts)
+def critical_points(terms: Sequence[tuple[float, Curve]],
+                    x_max: float) -> list[float]:
+    """Sorted points of [0, x_max] between which g = sum of w * c over
+    ``terms`` [(w, c), ...] is monotone: 0, x_max, every breakpoint between
+    them and, on each piece between those, the real parts of the roots of
+    g' (a superset of its real roots). Only polynomials of degree >= 2 make
+    g' vary on a piece, so affine and pwl terms add no roots."""
+    ends = sorted({0.0, x_max, *(x for _, c in terms if c.kind == "pwl"
+                                 for x, _ in c.data if 0.0 < x < x_max)})
+    polys = [(w, c.data) for w, c in terms if c.kind == "poly"]
+    if all(len(data) <= 2 for _, data in polys):
+        return ends
+    deriv = [0.0] * max(len(data) - 1 for _, data in polys)
+    for w, data in polys:
+        for k in range(1, len(data)):
+            deriv[k - 1] += w * k * data[k]
+    points = list(ends)
+    for a, b in zip(ends, ends[1:]):
+        # pwl terms are linear on [a, b]: their slopes shift g' there
+        shift = sum(w * (c.eval(b) - c.eval(a)) / (b - a)
+                    for w, c in terms if c.kind == "pwl")
+        points += [float(r.real) for r in polyroots(
+            [deriv[0] + shift, *deriv[1:]]) if a < r.real < b]
+    return sorted(points)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +319,14 @@ class Instance:
                 raise InvalidInstance("commodity endpoint not a node")
 
     def check_threshold_assumption(self) -> None:
-        """Assert l_a + theta_min_a >= 0 on a sample grid (Assumption on
-        thresholds that keeps perceived latencies non-negative)."""
+        """Assert l_a + theta_min_a >= 0 on [0, max(total demand, 1)] at
+        its critical points, exactly (Assumption on thresholds that keeps
+        perceived latencies non-negative)."""
+        x_max = max(self.total_demand, 1.0)
         for arc in self.arcs:
-            extra = arc.latency.breakpoint_xs() + \
-                self.thresholds.theta_min_curve(arc).breakpoint_xs()
-            for x in sample_grid(self.total_demand, extra):
+            terms = [(1.0, arc.latency),
+                     (1.0, self.thresholds.theta_min_curve(arc))]
+            for x in critical_points(terms, x_max):
                 if arc.latency.eval(x) + self.thresholds.theta_min(arc, x) < -1e-12:
                     raise InvalidInstance(
                         f"l + theta_min negative on arc {arc.id!r} at x={x}")
@@ -535,21 +533,18 @@ def path_latency(instance: Instance, flow: Flow, path: Sequence[str],
 
 
 def validate_deviation(instance: Instance, deviation: Deviation) -> list[dict]:
-    """Grid check of theta_min <= delta <= theta_max; empty report == feasible.
-
-    The grid includes all breakpoints of the latency, threshold and
-    deviation curves, which makes the check exact for the piecewise-linear
-    and polynomial families used here.
-    """
+    """Exact check of theta_min <= delta <= theta_max on [0, max(total
+    demand, 1)] at the critical points of delta - theta_min and
+    theta_max - delta; one entry per violating point, empty == feasible."""
+    x_max = max(instance.total_demand, 1.0)
     report = []
     for arc in instance.arcs:
-        extra = (arc.latency.breakpoint_xs()
-                 + instance.thresholds.theta_min_curve(arc).breakpoint_xs()
-                 + instance.thresholds.theta_max_curve(arc).breakpoint_xs())
-        curve = deviation.curves.get(arc.id)
-        if curve is not None:
-            extra = extra + curve.breakpoint_xs()
-        for x in sample_grid(instance.total_demand, extra):
+        delta = deviation.curves.get(arc.id, ZERO_CURVE)
+        theta_min = instance.thresholds.theta_min_curve(arc)
+        theta_max = instance.thresholds.theta_max_curve(arc)
+        points = {*critical_points([(1.0, delta), (-1.0, theta_min)], x_max),
+                  *critical_points([(1.0, theta_max), (-1.0, delta)], x_max)}
+        for x in sorted(points):
             value = deviation.eval(arc.id, x)
             lo = instance.thresholds.theta_min(arc, x)
             hi = instance.thresholds.theta_max(arc, x)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from scipy.optimize import brentq, linprog
 from scipy.sparse import coo_array
 
-from .core import (SUPPORT_EPS, Arc, Commodity, Deviation, Flow, Instance,
-                   Path, sample_grid, social_cost)
+from .core import (SUPPORT_EPS, ZERO_CURVE, Arc, Commodity, Deviation, Flow,
+                   Instance, Path, critical_points, social_cost)
 from .errors import (ConstructionFailed, InvalidConfig, InvalidInstance,
                      NonLinearFace, NonMonotonePerceived, NotConverged)
 
@@ -56,24 +56,28 @@ def perceived_cost(instance: Instance, deviation: Deviation | None,
     return value
 
 
+def _perceived_terms(arc: Arc, deviation: Deviation | None) -> list:
+    curves = {} if deviation is None else deviation.curves
+    return [(1.0, arc.latency), (1.0, curves.get(arc.id, ZERO_CURVE))]
+
+
 def check_monotone_perceived(instance: Instance,
                              deviation: Deviation | None) -> None:
     """Reject perceived latencies that decrease or go negative on the
-    flow range [0, total demand]."""
+    flow range [0, max(total demand, 1)]. Exact: q_a is monotone between
+    its critical points, so each is compared with the highest before it."""
+    x_max = max(instance.total_demand, 1.0)
     for arc in instance.arcs:
-        extra = list(arc.latency.breakpoint_xs())
-        if deviation is not None and arc.id in deviation.curves:
-            extra += list(deviation.curves[arc.id].breakpoint_xs())
-        prev = None
-        for x in sample_grid(instance.total_demand, extra):
+        peak = -math.inf
+        for x in critical_points(_perceived_terms(arc, deviation), x_max):
             value = perceived_cost(instance, deviation, arc.id, x)
             if value < -1e-12:
                 raise NonMonotonePerceived(
                     f"perceived latency negative on arc {arc.id!r} at x={x}")
-            if prev is not None and value < prev - 1e-12:
+            if value < peak - 1e-12:
                 raise NonMonotonePerceived(
                     f"perceived latency decreasing on arc {arc.id!r} near x={x}")
-            prev = value
+            peak = max(peak, value)
 
 
 def _distances(instance: Instance, costs: dict[str, float], source: str
@@ -310,18 +314,16 @@ def _face(instance: Instance, deviation: Deviation | None, arc: Arc,
     """The interval [lo, hi] of flows in [0, total demand] on which the
     perceived cost q_a equals q = q_a(x).
 
-    q_a is non-decreasing and a polynomial between the merged breakpoints
-    of l_a and delta_a, so the interval is a point or a plateau whose ends
-    lie among those breakpoints, 0 and the total demand. Plateaus no
-    longer than the solver's accuracy collapse to the point x.
+    q_a is non-decreasing, so the interval is a point or a plateau, whose
+    ends are critical points of q_a. Plateaus no longer than the solver's
+    accuracy collapse to the point x.
     """
     total = instance.total_demand
-    candidates = {0.0, total, *arc.latency.breakpoint_xs()}
-    if deviation is not None and arc.id in deviation.curves:
-        candidates.update(deviation.curves[arc.id].breakpoint_xs())
     tol = eps * max(1.0, abs(q))
-    on = [x] + [p for p in candidates if 0.0 <= p <= total and abs(
-        perceived_cost(instance, deviation, arc.id, p) - q) <= tol]
+    on = [x] + [p for p in critical_points(_perceived_terms(arc, deviation),
+                                           total)
+                if abs(perceived_cost(instance, deviation, arc.id, p) - q)
+                <= tol]
     lo, hi = min(on), max(on)
     if hi - lo <= eps * max(1.0, total):
         return x, x

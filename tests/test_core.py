@@ -3,11 +3,17 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from devratio import core
 from devratio.core import (Arc, Commodity, Curve, Deviation, Flow, Instance,
-                           ThresholdPair, enumerate_paths, path_latency,
-                           social_cost, validate_deviation)
-from devratio.errors import InvalidInstance, PathExplosion
+                           ThresholdPair, critical_points, enumerate_paths,
+                           path_latency, social_cost, validate_deviation)
+from devratio.equilibrium import check_monotone_perceived
+from devratio.errors import InvalidInstance, NonMonotonePerceived, PathExplosion
 from devratio.generators import braess
+
+#: midway between the sample points 32/64 and 33/64 of [0, 1]: a dip here
+#: narrower than 1/64 escapes a check that samples 64 points per unit
+DIP_AT = 0.5 + 1.0 / 128
 
 
 def two_parallel(l1: Curve, l2: Curve, demand: float = 1.0) -> Instance:
@@ -135,6 +141,16 @@ class TestInstance:
         ok = Instance(inst.nodes, inst.arcs, inst.commodities,
                       ThresholdPair.alpha_beta(-0.5, 1.0))
         ok.check_threshold_assumption()  # l + alpha*l = l/2 >= 0
+
+    def test_threshold_dip_between_samples_rejected(self):
+        # l + theta_min = (x - DIP_AT)^2 - 1e-6
+        inst = Instance(
+            ["s", "t"],
+            [Arc("a", "s", "t", Curve.poly([DIP_AT ** 2, 0.0, 1.0]))],
+            [Commodity("s", "t", 1.0)],
+            ThresholdPair.per_arc({"a": Curve.poly([1e-6, 2.0 * DIP_AT])}))
+        with pytest.raises(InvalidInstance, match="theta_min negative"):
+            inst.check_threshold_assumption()
 
 
 class TestEnumeratePaths:
@@ -283,3 +299,168 @@ class TestValidateDeviation:
         report = validate_deviation(case.instance, dev)
         assert report and all(entry["arc"] == "v1>w1" for entry in report)
         assert all(entry["delta"] > entry["theta_max"] for entry in report)
+
+    def test_dip_between_samples_reported(self):
+        inst = Instance(["s", "t"], [Arc("a", "s", "t", Curve.constant(1.0))],
+                        [Commodity("s", "t", 1.0)],
+                        ThresholdPair.per_arc(upper={"a": Curve.constant(1.0)}))
+        # delta = (x - DIP_AT)^2 - 1e-6 dips below theta_min = 0
+        dev = Deviation({"a": Curve.poly([DIP_AT ** 2 - 1e-6, -2.0 * DIP_AT,
+                                          1.0])})
+        report = validate_deviation(inst, dev)
+        assert [entry["x"] for entry in report] == [pytest.approx(DIP_AT)]
+        assert report[0]["delta"] == pytest.approx(-1e-6)
+
+
+class TestCriticalPoints:
+    def test_affine_and_pwl_give_piece_ends_without_numpy(self, monkeypatch):
+        def fail(_):
+            raise AssertionError("polyroots called")
+        monkeypatch.setattr(core, "polyroots", fail)
+        terms = [(1.0, Curve.poly([1.0, 2.0])),
+                 (-0.5, Curve.pwl([(-1.0, 0.0), (0.5, 1.0), (3.0, 2.0)]))]
+        assert critical_points(terms, 2.0) == [0.0, 0.5, 2.0]
+
+    def test_roots_of_the_derivative_on_each_piece(self):
+        # g = x^3 - 3x/4 + a pwl ramp of slope 3/4 from x = 1 on:
+        # g' = 3x^2 - 3/4 has its root 1/2 on [0, 1], g' = 3x^2 none later
+        terms = [(1.0, Curve.poly([0.0, -0.75, 0.0, 1.0])),
+                 (1.0, Curve.pwl([(1.0, 0.0), (2.0, 0.75)]))]
+        assert critical_points(terms, 3.0) == pytest.approx(
+            [0.0, 0.5, 1.0, 2.0, 3.0])
+
+    def test_cancelling_polynomials_add_no_roots(self):
+        quadratic = Curve.poly([1.0, 0.0, 1.0])
+        assert critical_points([(1.0, quadratic), (-1.0, quadratic)],
+                               1.0) == [0.0, 1.0]
+
+
+def _values(lo: int, hi: int, scale: float = 1.0):
+    """Strategy: multiples of scale / 1000 in [lo, hi] * scale / 1000, so
+    that no coefficient is vanishingly small beside another."""
+    return st.integers(lo, hi).map(lambda k: k * scale / 1000.0)
+
+
+def _pwl(values):
+    return st.lists(st.tuples(st.integers(0, 40), values), min_size=1,
+                    max_size=4, unique_by=lambda p: p[0]).map(sorted)
+
+
+def _signed_curve(scale: float):
+    """Strategy: a polynomial of degree <= 3 or a pwl curve with values
+    in [-scale, scale]."""
+    value = _values(-1000, 1000, scale)
+    return st.one_of(
+        st.lists(value, min_size=1, max_size=4).map(Curve.poly),
+        _pwl(value).map(lambda pts: Curve.pwl(
+            [(x / 16.0, y) for x, y in pts])))
+
+
+#: non-negative, non-decreasing curves: latencies and threshold magnitudes
+_latency = st.one_of(
+    st.lists(_values(0, 2000), min_size=1, max_size=4).map(Curve.poly),
+    _pwl(_values(0, 1000)).map(lambda pts: Curve.pwl([
+        (x / 16.0, sum(y for _, y in pts[:k + 1]))
+        for k, (x, _) in enumerate(pts)])))
+
+_thresholds = st.one_of(
+    st.builds(ThresholdPair.alpha_beta, _values(-990, 0), _values(0, 2000)),
+    st.builds(lambda lower, upper: ThresholdPair.per_arc(
+        {"a": lower}, {"a": upper}), _latency, _latency))
+
+
+_random_case = st.tuples(
+    _latency, _thresholds,
+    st.sampled_from([1.0, 1e-3, 1e-6]).flatmap(_signed_curve),
+    _values(250, 2000))
+
+
+@st.composite
+def _dip_case(draw):
+    """A case built to dip narrowly inside [0, max(demand, 1)], around c:
+    l + theta_min, or delta against one of its bounds, is
+    k (x - c)^2 - depth; or l + delta is
+    1 + amp ((x - c)^3 - 3 h^2 (x - c)), which decreases on [c - h, c + h]
+    when amp > 0."""
+    demand = draw(_values(250, 2000))
+    c = draw(_values(0, 1000)) * max(demand, 1.0)
+    k = draw(_values(100, 2000))  # dips at most 2 sqrt(depth / k) wide
+    depth = draw(st.sampled_from([-1e-6, 1e-6]))
+    dip = [k * c * c - depth, -2.0 * k * c, k]
+    which = draw(st.sampled_from(["threshold", "lower", "upper", "monotone"]))
+    if which == "threshold":
+        latency = Curve.poly([k * c * c + max(-depth, 0.0), 0.0, k])
+        thresholds = ThresholdPair.per_arc(
+            {"a": Curve.poly([max(depth, 0.0), 2.0 * k * c])},
+            {"a": draw(_latency)})
+        return latency, thresholds, draw(_signed_curve(1.0)), demand
+    latency = Curve.poly(draw(st.lists(_values(0, 2000), min_size=1,
+                                       max_size=2 if which == "monotone"
+                                       else 4)))
+    thresholds = ThresholdPair.alpha_beta(draw(_values(-990, 0)),
+                                          draw(_values(0, 2000)))
+    if which == "monotone":
+        h = draw(st.sampled_from([1e-3, 1e-2]))
+        amp = draw(_values(-1000, 1000))
+        slope = latency.data[1] if len(latency.data) > 1 else 0.0
+        delta = [1.0 - latency.data[0] + amp * (3 * h * h * c - c ** 3),
+                 amp * (3 * c * c - 3 * h * h) - slope, -3.0 * amp * c, amp]
+        return latency, thresholds, Curve.poly(delta), demand
+    bound = (thresholds.theta_min_curve if which == "lower"
+             else thresholds.theta_max_curve)(Arc("a", "s", "t", latency))
+    sign = 1.0 if which == "lower" else -1.0
+    delta = [0.0] * max(len(bound.data), 3)
+    for i, coef in enumerate(bound.data):
+        delta[i] += coef
+    for i, coef in enumerate(dip):
+        delta[i] += sign * coef
+    return latency, thresholds, Curve.poly(delta), demand
+
+
+class TestExactChecksMatchDenseSampling:
+    """Whatever a dense sampler flags, the exact checks flag too."""
+
+    DENSITY = 4096  # sample points per unit of demand, reference only
+
+    @staticmethod
+    def dense_points(x_max: float, curves) -> list[float]:
+        n = int(x_max * TestExactChecksMatchDenseSampling.DENSITY) + 1
+        pts = {i * x_max / (n - 1) for i in range(n)}
+        pts.update(x for c in curves if c.kind == "pwl" for x, _ in c.data
+                   if 0.0 <= x <= x_max)
+        return sorted(pts)
+
+    @given(st.one_of(_random_case, _dip_case()))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_flags_what_dense_sampling_flags(self, case):
+        latency, thresholds, delta, demand = case
+        inst = Instance(["s", "t"], [Arc("a", "s", "t", latency)],
+                        [Commodity("s", "t", demand)], thresholds)
+        arc, dev = inst.arcs[0], Deviation({"a": delta})
+        x_max = max(demand, 1.0)
+        curves = [latency, delta, thresholds.theta_min_curve(arc),
+                  thresholds.theta_max_curve(arc)]
+        below_zero = out_of_bounds = decreasing = False
+        prev = None
+        for x in self.dense_points(x_max, curves):
+            lo, hi = thresholds.theta_min(arc, x), thresholds.theta_max(arc, x)
+            below_zero |= latency.eval(x) + lo < -1e-12
+            out_of_bounds |= not lo - 1e-9 <= delta.eval(x) <= hi + 1e-9
+            q = latency.eval(x) + delta.eval(x)
+            decreasing |= q < -1e-12 or (prev is not None and q < prev - 1e-12)
+            prev = q
+
+        if below_zero:
+            with pytest.raises(InvalidInstance):
+                inst.check_threshold_assumption()
+        report = validate_deviation(inst, dev)
+        if out_of_bounds:
+            assert report
+        for entry in report:
+            x = entry["x"]
+            assert 0.0 <= x <= x_max
+            assert not (thresholds.theta_min(arc, x) - 1e-9 <= delta.eval(x)
+                        <= thresholds.theta_max(arc, x) + 1e-9)
+        if decreasing:
+            with pytest.raises(NonMonotonePerceived):
+                check_monotone_perceived(inst, dev)

@@ -73,6 +73,16 @@ class TestMonotoneCheck:
         with pytest.raises(NonMonotonePerceived):
             check_monotone_perceived(inst, dev)
 
+    def test_narrow_cubic_dip_rejected(self):
+        # 1 + (x-c)^3 - 3h^2 (x-c) decreases on [c-h, c+h], 1e-3 wide,
+        # between the sample points 32/64 and 33/64
+        c, h = 0.5 + 1.0 / 128, 5e-4
+        dev = Deviation({"a1": Curve.poly(
+            [3 * h * h * c - c ** 3, 3 * c * c - 3 * h * h, -3 * c, 1.0])})
+        inst = pigou(Curve.constant(1.0), Curve.constant(1.0))
+        with pytest.raises(NonMonotonePerceived, match="decreasing"):
+            check_monotone_perceived(inst, dev)
+
 
 class TestWardrop:
     def test_pigou_linear(self):
