@@ -14,7 +14,12 @@ from scipy.optimize import minimize_scalar
 
 from .core import Curve
 from .errors import (DemandNotNormalized, EpsilonOutOfRange, GammaOutOfRange,
-                     MuTooLarge, Unbounded)
+                     MuTooLarge, ParameterOutOfRange, Unbounded)
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ParameterOutOfRange(message)
 
 
 def _half_ceil(n: int) -> int:
@@ -27,7 +32,8 @@ def pra_bound(gamma: float, kappa: float, n: int, r: float) -> float:
     1 + gamma*kappa*ceil((n-1)/2)*r for gamma >= 0, and
     1 - gamma*kappa/(1+gamma*kappa)*ceil((n-1)/2)*r for -1/kappa < gamma <= 0.
     """
-    assert kappa > 0.0 and n >= 2 and r > 0.0
+    _require(kappa > 0.0 and n >= 2 and r > 0.0,
+             f"need kappa > 0, n >= 2, r > 0; got {kappa}, {n}, {r}")
     if gamma <= -1.0 / kappa:
         raise GammaOutOfRange(f"gamma={gamma} must exceed -1/kappa={-1/kappa}")
     gk = gamma * kappa
@@ -43,8 +49,9 @@ def pra_lower_even(gamma: float, kappa: float, n: int, r: float) -> float:
     with gamma*kappa replaced by -gamma*kappa/(1+gamma*kappa) for negative
     gamma.
     """
-    assert n % 2 == 0, "even number of nodes required"
-    assert kappa > 0.0 and n >= 2 and r > 0.0
+    _require(n % 2 == 0, f"even number of nodes required, got n={n}")
+    _require(kappa > 0.0 and n >= 2 and r > 0.0,
+             f"need kappa > 0, n >= 2, r > 0; got {kappa}, {n}, {r}")
     if gamma <= -1.0 / kappa:
         raise GammaOutOfRange(f"gamma={gamma} must exceed -1/kappa={-1/kappa}")
     gk = gamma * kappa
@@ -59,7 +66,7 @@ def stability_bound(epsilon: float, n: int, r: float) -> float:
     [1-eps, 1+eps]: 2*eps/(1-eps) * ceil((n-1)/2) * r."""
     if not (0.0 < epsilon < 1.0):
         raise EpsilonOutOfRange(f"epsilon={epsilon} must lie in (0, 1)")
-    assert n >= 2 and r > 0.0
+    _require(n >= 2 and r > 0.0, f"need n >= 2, r > 0; got {n}, {r}")
     return 2.0 * epsilon / (1.0 - epsilon) * _half_ceil(n) * r
 
 
@@ -71,9 +78,10 @@ class SmoothnessQuery:
     grid: int = 512
 
     def __post_init__(self):
-        assert self.domain_max > 0.0
-        assert self.grid >= 100
-        assert self.beta >= 0.0
+        _require(self.domain_max > 0.0,
+                 f"domain_max={self.domain_max} must be positive")
+        _require(self.grid >= 100, f"grid={self.grid} must be at least 100")
+        _require(self.beta >= 0.0, f"beta={self.beta} must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -169,6 +177,7 @@ def heterogeneous_bound(taus: list[float], demands: list[float],
     """
     if abs(sum(demands) - 1.0) > 1e-9:
         raise DemandNotNormalized(f"demands sum to {sum(demands)}, need 1")
-    assert len(taus) == len(demands)
-    assert all(t >= 0.0 for t in taus)
+    _require(len(taus) == len(demands),
+             f"{len(taus)} risk factors for {len(demands)} demands")
+    _require(all(t >= 0.0 for t in taus), f"risk factors {taus} must be >= 0")
     return 1.0 + beta * sum(t * r for t, r in zip(taus, demands))

@@ -257,6 +257,9 @@ class ThresholdPair:
     def from_json(cls, spec: Mapping) -> "ThresholdPair":
         if spec["kind"] == "alpha_beta":
             return cls.alpha_beta(spec["alpha"], spec["beta"])
+        if spec["kind"] != "per_arc":
+            raise ValueError(f"unknown threshold kind {spec['kind']!r}; "
+                             "expected 'alpha_beta' or 'per_arc'")
         return cls.per_arc(
             {a: Curve.from_json(c) for a, c in spec.get("theta_min", {}).items()},
             {a: Curve.from_json(c) for a, c in spec.get("theta_max", {}).items()},

@@ -67,6 +67,10 @@ class TooLarge(DevRatioError):
     """Brute-force operation refused: search space over budget."""
 
 
+class ParameterOutOfRange(DevRatioError):
+    """A bound's numeric input lies outside the domain it is stated for."""
+
+
 class AlphaOutOfRange(DevRatioError):
     """Lower threshold factor alpha must satisfy -1 < alpha <= 0."""
 

@@ -19,7 +19,8 @@ from scipy.optimize import linprog
 
 from .core import SUPPORT_EPS, Curve, Deviation, Flow, Instance
 from .equilibrium import _SparseRows, verify_nash
-from .errors import ConstructionFailed, NotCommonSource, NotInducible
+from .errors import (ConstructionFailed, InvalidInstance, NotCommonSource,
+                     NotInducible)
 
 
 @dataclass(frozen=True)
@@ -58,7 +59,10 @@ def build_aux_graph(instance: Instance, flow: Flow) -> AuxGraph:
         aux.append(AuxArc(arc.id, arc.tail, arc.head, forward, False))
         if x > SUPPORT_EPS:
             backward = -(arc.latency.eval(x) + thresholds.theta_min(arc, x))
-            assert backward <= 1e-12, "reversed arc cost must be non-positive"
+            if backward > 1e-12:
+                raise InvalidInstance(
+                    f"l + theta_min = {-backward} < 0 on arc {arc.id!r} at "
+                    f"its flow x={x}")
             aux.append(AuxArc(arc.id, arc.head, arc.tail, backward, True))
     return AuxGraph(instance.nodes, tuple(aux))
 

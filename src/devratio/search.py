@@ -146,7 +146,9 @@ def random_feasible_deviation(rng: random.Random,
                               instance: Instance) -> Deviation:
     """delta_a = lambda_a * l_a with lambda_a uniform in [alpha, beta]."""
     thresholds = instance.thresholds
-    assert thresholds.kind == "alpha_beta"
+    if thresholds.kind != "alpha_beta":
+        raise InvalidInstance("random_feasible_deviation needs alpha_beta "
+                              f"thresholds, got {thresholds.kind}")
     curves = {}
     for arc in instance.arcs:
         lam = rng.uniform(thresholds.alpha, thresholds.beta)

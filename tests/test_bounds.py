@@ -7,7 +7,7 @@ from devratio.bounds import (SmoothnessQuery, bpoa_bound,
                              stability_bound)
 from devratio.core import Curve
 from devratio.errors import (DemandNotNormalized, EpsilonOutOfRange,
-                             GammaOutOfRange, MuTooLarge)
+                             GammaOutOfRange, MuTooLarge, ParameterOutOfRange)
 
 
 class TestPraBound:
@@ -49,7 +49,7 @@ class TestPraLowerEven:
             assert lower == pytest.approx(upper - 1.0 * (r - 1.0))
 
     def test_odd_n_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ParameterOutOfRange):
             pra_lower_even(1.0, 1.0, 5, 1.0)
 
 

@@ -164,6 +164,25 @@ class TestInduce:
         assert result.exit_code == 2
         assert "'commodities'" in result.output
 
+    def test_theta_min_beyond_latency_is_domain_error(self, runner,
+                                                      tmp_path):
+        spec = {"nodes": ["s", "t"],
+                "arcs": [{"id": "a", "tail": "s", "head": "t",
+                          "latency": {"poly": [1.0]}},
+                         {"id": "b", "tail": "s", "head": "t",
+                          "latency": {"poly": [1.0]}}],
+                "commodities": [{"source": "s", "sink": "t", "demand": 1.0}],
+                "thresholds": {"kind": "per_arc",
+                               "theta_min": {"a": {"poly": [2.0]}}}}
+        inst_path, flow_path = tmp_path / "i.json", tmp_path / "f.json"
+        inst_path.write_text(json.dumps(spec))
+        flow_path.write_text(json.dumps({"commodities": [
+            {"paths": [{"arcs": ["a"], "value": 1.0}]}]}))
+        result = runner.invoke(main, ["induce", str(inst_path),
+                                      str(flow_path)])
+        assert result.exit_code == 3
+        assert "arc 'a'" in result.output and "x=1.0" in result.output
+
     def test_multi_source_domain_error(self, runner, tmp_path):
         out = gen(runner, tmp_path, "remark-b1")
         sidecar = json.loads(
@@ -234,6 +253,19 @@ class TestBound:
                                       "2"])
         assert float(result.output) == pytest.approx(1.5)
 
+    @pytest.mark.parametrize("args, named", [
+        (["pra", "--gamma", "1", "--kappa", "0", "--n", "3"], "kappa > 0"),
+        (["pra-even", "--gamma", "1", "--kappa", "1", "--n", "3"], "n=3"),
+        (["stability", "--epsilon", "0.5", "--n", "1"], "n >= 2"),
+        (["mu-hat", "--poly", "0,1", "--grid", "50"], "grid=50"),
+        (["mu-hat", "--poly", "0,1", "--domain-max", "0"], "domain_max=0"),
+        (["hetero", "--taus", "1,2", "--demands", "1", "--beta", "1"],
+         "2 risk factors for 1 demands")])
+    def test_out_of_range_input_is_domain_error(self, runner, args, named):
+        result = runner.invoke(main, ["bound", *args])
+        assert result.exit_code == 3
+        assert named in result.output
+
     def test_hetero_unnormalized_domain_error(self, runner):
         result = runner.invoke(main, ["bound", "hetero", "--taus", "1",
                                       "--demands", "2", "--beta", "1"])
@@ -253,6 +285,16 @@ class TestRatio:
         assert lines[0] == "lambdas,cost"
         # every arc has deviation headroom under (0, beta) thresholds
         assert len(lines) == 1 + 2 ** 5
+
+    def test_unknown_threshold_kind_is_usage_error(self, runner, tmp_path):
+        out = gen(runner, tmp_path, "braess", "--m", "2", "--beta", "1")
+        spec = json.loads(out.read_text())
+        spec["thresholds"]["kind"] = "alphabeta"
+        out.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["ratio", str(out), "--seed", "0",
+                                      "--lambda-grid", "2"])
+        assert result.exit_code == 2
+        assert "'alphabeta'" in result.output
 
     def test_seed_required(self, runner, tmp_path):
         out = gen(runner, tmp_path, "braess", "--m", "2", "--beta", "1")

@@ -152,6 +152,12 @@ class TestInstance:
         with pytest.raises(InvalidInstance, match="theta_min negative"):
             inst.check_threshold_assumption()
 
+    def test_unknown_threshold_kind_rejected(self):
+        spec = braess(2, 1.0).instance.to_json()
+        spec["thresholds"]["kind"] = "alphabeta"
+        with pytest.raises(ValueError, match="'alphabeta'"):
+            Instance.from_json(spec)
+
 
 class TestEnumeratePaths:
     def test_two_parallel_arcs(self):

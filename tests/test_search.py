@@ -125,6 +125,12 @@ class TestRandomSamplers:
         dev = random_feasible_deviation(rng, inst)
         assert validate_deviation(inst, dev) == []
 
+    def test_deviation_needs_alpha_beta_thresholds(self):
+        inst = random_common_source_instance(random.Random(0))
+        inst = Instance(inst.nodes, inst.arcs, inst.commodities)
+        with pytest.raises(InvalidInstance, match="alpha_beta"):
+            random_feasible_deviation(random.Random(0), inst)
+
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
     def test_flows_meet_demand(self, seed):
