@@ -423,18 +423,18 @@ def _dip_case(draw):
     return latency, thresholds, Curve.poly(delta), demand
 
 
+def _dense_points(x_max: float, curves) -> list[float]:
+    """Reference sampler: 4096 points per unit of [0, x_max] plus the pwl
+    breakpoints in it."""
+    n = int(x_max * 4096) + 1
+    pts = {i * x_max / (n - 1) for i in range(n)}
+    pts.update(x for c in curves if c.kind == "pwl" for x, _ in c.data
+               if 0.0 <= x <= x_max)
+    return sorted(pts)
+
+
 class TestExactChecksMatchDenseSampling:
     """Whatever a dense sampler flags, the exact checks flag too."""
-
-    DENSITY = 4096  # sample points per unit of demand, reference only
-
-    @staticmethod
-    def dense_points(x_max: float, curves) -> list[float]:
-        n = int(x_max * TestExactChecksMatchDenseSampling.DENSITY) + 1
-        pts = {i * x_max / (n - 1) for i in range(n)}
-        pts.update(x for c in curves if c.kind == "pwl" for x, _ in c.data
-                   if 0.0 <= x <= x_max)
-        return sorted(pts)
 
     @given(st.one_of(_random_case, _dip_case()))
     @settings(max_examples=100, deadline=None)
@@ -448,7 +448,7 @@ class TestExactChecksMatchDenseSampling:
                   thresholds.theta_max_curve(arc)]
         below_zero = out_of_bounds = decreasing = False
         prev = None
-        for x in self.dense_points(x_max, curves):
+        for x in _dense_points(x_max, curves):
             lo, hi = thresholds.theta_min(arc, x), thresholds.theta_max(arc, x)
             below_zero |= latency.eval(x) + lo < -1e-12
             out_of_bounds |= not lo - 1e-9 <= delta.eval(x) <= hi + 1e-9
