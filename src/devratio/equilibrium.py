@@ -80,45 +80,103 @@ def check_monotone_perceived(instance: Instance,
             peak = max(peak, value)
 
 
-def _distances(instance: Instance, costs: dict[str, float], source: str
-               ) -> tuple[dict[str, float], dict[str, str]]:
-    """Deterministic Bellman-Ford from source: the distance of every node
-    (inf where unreachable) and the predecessor arc of every reached node
-    but the source; ties broken by arc-id relaxation order."""
-    dist = {v: math.inf for v in instance.nodes}
-    pred: dict[str, str] = {}
-    dist[source] = 0.0
-    for _ in range(len(instance.nodes) - 1):
+def _bellman_ford(arcs: list[tuple[str, str, float]], dist: dict[str, float],
+                  tol: float) -> tuple[dict[str, float], dict[str, int],
+                                       list[int] | None]:
+    """Bellman-Ford from the initial distances ``dist`` (one entry per
+    node, inf where unreached), relaxing ``arcs`` [(tail, head, cost), ...]
+    in the given order and improving a distance only by more than ``tol``.
+    Returns the distances, the index of the predecessor arc of every
+    improved node and a negative cycle as arc indices in path order, or
+    None."""
+    dist = dict(dist)
+    pred: dict[str, int] = {}
+    for _ in range(len(dist) - 1):
         changed = False
-        for arc in instance.arcs:  # already sorted by id
-            d = dist[arc.tail] + costs[arc.id]
-            if d < dist[arc.head] - 1e-15:
-                dist[arc.head] = d
-                pred[arc.head] = arc.id
+        for k, (tail, head, cost) in enumerate(arcs):
+            d = dist[tail] + cost
+            if d < dist[head] - tol:
+                dist[head] = d
+                pred[head] = k
                 changed = True
         if not changed:
-            break
+            return dist, pred, None
+    for k, (tail, head, cost) in enumerate(arcs):
+        if dist[tail] + cost < dist[head] - tol:
+            # walk predecessors until a node repeats; the repeat closes the
+            # negative cycle in the predecessor graph
+            pred[head] = k
+            seen: dict[str, int] = {}
+            trail: list[int] = []
+            node = head
+            while node not in seen and node in pred:
+                seen[node] = len(trail)
+                trail.append(pred[node])
+                node = arcs[pred[node]][0]
+            if node not in seen:
+                continue  # no pred cycle behind this arc; keep scanning
+            cycle = trail[seen[node]:][::-1]
+            if sum(arcs[j][2] for j in cycle) >= -1e-10:
+                continue  # numerically neutral cycle; not a sound witness
+            return dist, pred, cycle
+    return dist, pred, None
+
+
+def _search(instance: Instance, costs: dict[str, float], source: str
+            ) -> tuple[dict[str, float], dict[str, int]]:
+    """Distances from source over the instance's arcs (inf where
+    unreachable) and, for every reached node but the source, the index in
+    instance.arcs of its predecessor arc; ties broken by arc-id relaxation
+    order."""
+    init = dict.fromkeys(instance.nodes, math.inf)
+    init[source] = 0.0
+    dist, pred, cycle = _bellman_ford(
+        [(a.tail, a.head, costs[a.id]) for a in instance.arcs], init, 1e-15)
+    if cycle is not None:
+        raise InvalidInstance("negative-cost cycle through arc "
+                              f"{instance.arcs[cycle[0]].id!r}")
     return dist, pred
 
 
-def shortest_path(instance: Instance, costs: dict[str, float],
-                  source: str, sink: str) -> tuple[Path, float] | None:
-    """Deterministic Bellman-Ford; ties broken by arc-id relaxation order."""
-    dist, pred = _distances(instance, costs, source)
+def _route(instance: Instance, dist: dict[str, float], pred: dict[str, int],
+           source: str, sink: str) -> tuple[Path, float] | None:
     if not math.isfinite(dist[sink]):
         return None
     path: list[str] = []
     node = sink
     while node != source:
-        arc_id = pred[node]
-        path.append(arc_id)
-        node = instance.arcs_by_id[arc_id].tail
+        arc = instance.arcs[pred[node]]
+        path.append(arc.id)
+        node = arc.tail
     return tuple(reversed(path)), dist[sink]
+
+
+def shortest_path(instance: Instance, costs: dict[str, float],
+                  source: str, sink: str) -> tuple[Path, float] | None:
+    """Deterministic Bellman-Ford; ties broken by arc-id relaxation order."""
+    dist, pred = _search(instance, costs, source)
+    return _route(instance, dist, pred, source, sink)
 
 
 def _unreachable(commodity: Commodity) -> InvalidInstance:
     return InvalidInstance(
         f"sink {commodity.sink!r} unreachable from {commodity.source!r}")
+
+
+def _shortest_paths(instance: Instance, costs: dict[str, float]
+                    ) -> list[tuple[Path, float]]:
+    """Each commodity's shortest path and its length, from one search per
+    distinct source; an unreachable sink raises InvalidInstance."""
+    searches = {source: _search(instance, costs, source) for source
+                in dict.fromkeys(c.source for c in instance.commodities)}
+    found = []
+    for commodity in instance.commodities:
+        best = _route(instance, *searches[commodity.source],
+                      commodity.source, commodity.sink)
+        if best is None:
+            raise _unreachable(commodity)
+        found.append(best)
+    return found
 
 
 def beckmann_potential(instance: Instance, flow: Flow,
@@ -139,11 +197,9 @@ def relative_gap(instance: Instance, flow: Flow,
              for a in instance.arcs}
     num = 0.0
     den = 0.0
-    for commodity, paths in zip(instance.commodities, flow.commodity_paths):
-        best = shortest_path(instance, costs, commodity.source, commodity.sink)
-        if best is None:
-            raise _unreachable(commodity)
-        _, shortest = best
+    for commodity, paths, (_, shortest) in zip(
+            instance.commodities, flow.commodity_paths,
+            _shortest_paths(instance, costs)):
         avg = sum(v * sum(costs[a] for a in p) for p, v in paths.items())
         num += avg - commodity.demand * shortest
         den += commodity.demand * shortest
@@ -203,12 +259,9 @@ def wardrop(instance: Instance, deviation: Deviation | None = None,
     if initial_paths is None:
         zero_costs = {a.id: perceived_cost(instance, deviation, a.id, 0.0)
                       for a in instance.arcs}
-        for commodity in instance.commodities:
-            best = shortest_path(instance, zero_costs,
-                                 commodity.source, commodity.sink)
-            if best is None:
-                raise _unreachable(commodity)
-            states.append(_CommodityState(commodity, {best[0]: commodity.demand}))
+        for commodity, (path, _) in zip(
+                instance.commodities, _shortest_paths(instance, zero_costs)):
+            states.append(_CommodityState(commodity, {path: commodity.demand}))
     else:
         for commodity, paths in zip(instance.commodities, initial_paths):
             states.append(_CommodityState(commodity, dict(paths)))
@@ -231,12 +284,8 @@ def wardrop(instance: Instance, deviation: Deviation | None = None,
         costs = {a.id: perceived_cost(instance, deviation, a.id, arc_flows[a.id])
                  for a in instance.arcs}
         # column generation: bring in each commodity's current shortest path
-        for state in states:
-            best = shortest_path(instance, costs, state.commodity.source,
-                                 state.commodity.sink)
-            if best is None:
-                raise _unreachable(state.commodity)
-            state.flows.setdefault(best[0], 0.0)
+        for state, (path, _) in zip(states, _shortest_paths(instance, costs)):
+            state.flows.setdefault(path, 0.0)
 
         for state in states:
             for _ in range(200):
@@ -277,12 +326,8 @@ def verify_nash(instance: Instance, flow: Flow,
                                   flow.arc_flow(a.id))
              for a in instance.arcs}
     report = []
-    for i, (commodity, paths) in enumerate(
-            zip(instance.commodities, flow.commodity_paths)):
-        best = shortest_path(instance, costs, commodity.source, commodity.sink)
-        if best is None:
-            raise _unreachable(commodity)
-        _, shortest = best
+    for i, (paths, (_, shortest)) in enumerate(
+            zip(flow.commodity_paths, _shortest_paths(instance, costs))):
         for path, value in paths.items():
             if value <= 1e-15:
                 continue
@@ -328,31 +373,6 @@ def _face(instance: Instance, deviation: Deviation | None, arc: Arc,
     if hi - lo <= eps * max(1.0, total):
         return x, x
     return lo, hi
-
-
-def _arc_on_cycle(arcs: list[Arc]) -> str | None:
-    """Id of an arc on a directed cycle among ``arcs``, or None."""
-    indegree: dict[str, int] = {}
-    out: dict[str, list[Arc]] = {}
-    for arc in arcs:
-        indegree[arc.head] = indegree.get(arc.head, 0) + 1
-        out.setdefault(arc.tail, []).append(arc)
-    # peel nodes without in-arcs; every node left in `out` then has an
-    # in-arc from a node also left there, so walking in-arcs back repeats
-    ready = [v for v in out if v not in indegree]
-    while ready:
-        for arc in out.pop(ready.pop()):
-            indegree[arc.head] -= 1
-            if indegree[arc.head] == 0 and arc.head in out:
-                ready.append(arc.head)
-    into = {arc.head: arc for arc in arcs if arc.tail in out}
-    if not into:
-        return None
-    node, seen = next(iter(into)), set()
-    while node not in seen:
-        seen.add(node)
-        node = into[node].tail
-    return into[node].id
 
 
 def worst_equilibrium_cost(instance: Instance,
@@ -401,7 +421,7 @@ def worst_equilibrium_cost(instance: Instance,
     # flow uses so that it stays feasible whatever the rounding
     columns: list[tuple[int, Arc]] = []
     for i, commodity in enumerate(instance.commodities):
-        dist, _ = _distances(instance, q_star, commodity.source)
+        dist, _ = _search(instance, q_star, commodity.source)
         tol = eps * max(1.0, dist[commodity.sink])
         carried = solved.commodity_arc_flows[i]
         tight = [a for a in instance.arcs
@@ -409,11 +429,13 @@ def worst_equilibrium_cost(instance: Instance,
                  and math.isfinite(dist[a.tail])
                  and (carried[a.id] > SUPPORT_EPS
                       or dist[a.tail] + q_star[a.id] - dist[a.head] <= tol)]
-        closing = _arc_on_cycle(tight)
-        if closing is not None:
+        # at cost -1 per tight arc, every cycle among them is negative
+        _, _, cycle = _bellman_ford([(a.tail, a.head, -1.0) for a in tight],
+                                    dict.fromkeys(instance.nodes, 0.0), 1e-15)
+        if cycle is not None:
             raise NonLinearFace(
-                f"arc {closing!r} lies on a cycle of zero perceived cost, "
-                "so flow could circulate in an equilibrium")
+                f"arc {tight[cycle[0]].id!r} lies on a cycle of zero "
+                "perceived cost, so flow could circulate in an equilibrium")
         columns += [(i, a) for a in tight]
 
     conservation, capacity = _SparseRows(), _SparseRows()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from scipy.optimize import linprog
 
 from .core import SUPPORT_EPS, Curve, Deviation, Flow, Instance
-from .equilibrium import _SparseRows, verify_nash
+from .equilibrium import _bellman_ford, _SparseRows, verify_nash
 from .errors import (ConstructionFailed, InvalidInstance, NotCommonSource,
                      NotInducible)
 
@@ -67,53 +67,6 @@ def build_aux_graph(instance: Instance, flow: Flow) -> AuxGraph:
     return AuxGraph(instance.nodes, tuple(aux))
 
 
-def _bellman_ford(graph: AuxGraph, dist: dict[str, float]
-                  ) -> tuple[dict[str, float], dict[str, AuxArc],
-                             list[AuxArc] | None]:
-    """Relax to convergence from the given initial distances; returns
-    (distances, predecessors, negative cycle or None). Deterministic: arcs
-    are relaxed in (arc_id, is_reversed) order."""
-    arcs = sorted(graph.arcs, key=lambda a: (a.arc_id, a.is_reversed))
-    dist = dict(dist)
-    pred: dict[str, AuxArc] = {}
-    n = len(graph.nodes)
-    for _ in range(n - 1):
-        changed = False
-        for arc in arcs:
-            if not math.isfinite(dist[arc.tail]):
-                continue
-            d = dist[arc.tail] + arc.cost
-            if d < dist[arc.head] - 1e-12:
-                dist[arc.head] = d
-                pred[arc.head] = arc
-                changed = True
-        if not changed:
-            return dist, pred, None
-    for arc in arcs:
-        if not math.isfinite(dist[arc.tail]):
-            continue
-        if dist[arc.tail] + arc.cost < dist[arc.head] - 1e-12:
-            # walk predecessors until a node repeats; the repeat closes the
-            # negative cycle in the predecessor graph
-            pred[arc.head] = arc
-            seen: dict[str, int] = {}
-            trail: list[AuxArc] = []
-            node = arc.head
-            while node not in seen and node in pred:
-                seen[node] = len(trail)
-                step = pred[node]
-                trail.append(step)
-                node = step.tail
-            if node not in seen:
-                continue  # no pred cycle behind this arc; keep scanning
-            cycle = trail[seen[node]:]
-            cycle.reverse()
-            if sum(a.cost for a in cycle) >= -1e-10:
-                continue  # numerically neutral cycle; not a sound witness
-            return dist, pred, cycle
-    return dist, pred, None
-
-
 @dataclass(frozen=True)
 class InducibilityResult:
     inducible: bool
@@ -127,6 +80,24 @@ class InducibilityResult:
         return self.inducible
 
 
+def _aux_search(instance: Instance, flow: Flow
+                ) -> tuple[dict[str, float], tuple[AuxArc, ...] | None]:
+    """Bellman-Ford from the common source over the auxiliary graph: the
+    distance of every node (inf where unreachable) and a negative cycle,
+    or None."""
+    if not instance.common_source:
+        raise NotCommonSource(
+            "inducibility via the negative-cycle test needs a common source; "
+            "multi-source instances admit inducible flows whose auxiliary "
+            "graph still has a negative cycle")
+    graph = build_aux_graph(instance, flow)
+    init = dict.fromkeys(graph.nodes, math.inf)
+    init[instance.source] = 0.0
+    dist, _, cycle = _bellman_ford(
+        [(a.tail, a.head, a.cost) for a in graph.arcs], init, 1e-12)
+    return dist, None if cycle is None else tuple(graph.arcs[k] for k in cycle)
+
+
 def is_inducible(instance: Instance, flow: Flow) -> InducibilityResult:
     """Negative-cycle test on the auxiliary graph.
 
@@ -134,36 +105,18 @@ def is_inducible(instance: Instance, flow: Flow) -> InducibilityResult:
     can be inducible although the auxiliary graph has a negative cycle
     (the cycle may mix arcs that no single commodity can trade against).
     """
-    if not instance.common_source:
-        raise NotCommonSource(
-            "inducibility via the negative-cycle test needs a common source; "
-            "multi-source instances admit inducible flows whose auxiliary "
-            "graph still has a negative cycle")
-    graph = build_aux_graph(instance, flow)
-    source = instance.source
-    init = {v: math.inf for v in graph.nodes}
-    init[source] = 0.0
-    dist, _, cycle = _bellman_ford(graph, init)
+    _, cycle = _aux_search(instance, flow)
     if cycle is not None:
-        return InducibilityResult(False, tuple(cycle), True)
-    # sweep unreachable components with a virtual zero source
-    init_all = {v: 0.0 for v in graph.nodes}
-    _, _, cycle = _bellman_ford(graph, init_all)
-    if cycle is not None:
-        reachable = math.isfinite(dist[cycle[0].tail])
-        return InducibilityResult(False, tuple(cycle), reachable)
+        return InducibilityResult(False, cycle, True)
     return InducibilityResult(True)
 
 
 def potentials(instance: Instance, flow: Flow) -> dict[str, float]:
     """Shortest-path distances from the common source in the aux graph."""
-    graph = build_aux_graph(instance, flow)
-    init = {v: math.inf for v in graph.nodes}
-    init[instance.source] = 0.0
-    dist, _, cycle = _bellman_ford(graph, init)
+    pi, cycle = _aux_search(instance, flow)
     if cycle is not None:
         raise NotInducible("auxiliary graph has a negative cycle")
-    return dist
+    return pi
 
 
 def recover_deviation(instance: Instance, flow: Flow) -> Deviation:
@@ -173,10 +126,9 @@ def recover_deviation(instance: Instance, flow: Flow) -> Deviation:
     the single value extends to a function by scaling theta^max (value >= 0)
     or theta^min (value < 0), so threshold feasibility holds everywhere.
     """
-    result = is_inducible(instance, flow)
-    if not result.inducible:
+    pi, cycle = _aux_search(instance, flow)
+    if cycle is not None:
         raise NotInducible("flow admits no feasible inducing deviation")
-    pi = potentials(instance, flow)
     thresholds = instance.thresholds
     curves: dict[str, Curve] = {}
     for arc in instance.arcs:
