@@ -149,7 +149,8 @@ def build_alt_path_tree(instance: Instance, x: Flow, z: Flow) -> AltPathTree:
         path.reverse()
         paths.append(tuple(path))
         eta = count_segments(tuple(path))
-        assert eta <= math.ceil((n - 1) / 2), "segment count exceeds ceil((n-1)/2)"
+        if not eta <= math.ceil((n - 1) / 2):
+            raise ConstructionFailed("segment count exceeds ceil((n-1)/2)")
         etas.append(eta)
     return AltPathTree(node_parent, tuple(paths), tuple(etas), part)
 
@@ -189,7 +190,8 @@ def bound_general(instance: Instance, x: Flow, z: Flow, tree: AltPathTree,
     for i, commodity in enumerate(instance.commodities):
         carrying = sorted(p for p, v in x.commodity_paths[i].items()
                           if v > SUPPORT_EPS)
-        assert carrying, "commodity routes no flow"
+        if not carrying:
+            raise ConstructionFailed("commodity routes no flow")
         # argmax of latency under x; ties go to the lexicographically first
         heavy, best_latency = None, -math.inf
         for p in carrying:

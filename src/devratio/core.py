@@ -131,13 +131,23 @@ def validate_latency(curve: Curve, name: str = "latency") -> None:
             raise InvalidInstance(f"{name}: breakpoints must be non-decreasing")
 
 
+def _value_and_slope(coefs: Sequence[float], x: float) -> tuple[float, float]:
+    """p(x) and p'(x) for p = sum_k coefs[k] x^k, by Horner's rule."""
+    value = slope = 0.0
+    for c in reversed(coefs):
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
+
+
 def critical_points(terms: Sequence[tuple[float, Curve]],
                     x_max: float) -> list[float]:
     """Sorted points of [0, x_max] between which g = sum of w * c over
     ``terms`` [(w, c), ...] is monotone: 0, x_max, every breakpoint between
     them and, on each piece between those, the real parts of the roots of
-    g' (a superset of its real roots). Only polynomials of degree >= 2 make
-    g' vary on a piece, so affine and pwl terms add no roots."""
+    g' (a superset of its real roots), polished by one Newton step. Only
+    polynomials of degree >= 2 make g' vary on a piece, so affine and pwl
+    terms add no roots."""
     ends = sorted({0.0, x_max, *(x for _, c in terms if c.kind == "pwl"
                                  for x, _ in c.data if 0.0 < x < x_max)})
     polys = [(w, c.data) for w, c in terms if c.kind == "poly"]
@@ -152,8 +162,25 @@ def critical_points(terms: Sequence[tuple[float, Curve]],
         # pwl terms are linear on [a, b]: their slopes shift g' there
         shift = sum(w * (c.eval(b) - c.eval(a)) / (b - a)
                     for w, c in terms if c.kind == "pwl")
-        points += [float(r.real) for r in polyroots(
-            [deriv[0] + shift, *deriv[1:]]) if a < r.real < b]
+        full = [deriv[0] + shift, *deriv[1:]]
+        # eigenvalue roots go astray (or fail) when the leading coefficients
+        # are negligible on [0, x_max], so those are dropped first and each
+        # root is then polished on the full g'
+        sizes = [abs(c) * x_max ** k for k, c in enumerate(full)]
+        degree = len(full) - 1
+        while degree > 0 and sizes[degree] <= 1e-12 * max(sizes):
+            degree -= 1
+        for r in polyroots(full[:degree + 1]):
+            x = float(r.real)
+            if not a < x < b:
+                continue
+            value, slope = _value_and_slope(full, x)
+            if slope:
+                polished = x - value / slope
+                if (a < polished < b and abs(_value_and_slope(
+                        full, polished)[0]) < abs(value)):
+                    x = polished
+            points.append(x)
     return sorted(points)
 
 

@@ -306,7 +306,8 @@ def wardrop(instance: Instance, deviation: Deviation | None = None,
 
         flow = current_flow()
         potential = beckmann_potential(instance, flow, deviation)
-        assert potential <= prev_potential + 1e-10, "potential increased"
+        if not potential <= prev_potential + 1e-10:
+            raise ConstructionFailed("potential increased")
         prev_potential = potential
         gap = relative_gap(instance, flow, deviation)
         if gap <= config.relative_gap_tol:

@@ -5,10 +5,11 @@ cost l_a + theta^max_a and whose reversed arcs (one per flow-carrying arc)
 carry cost -(l_a + theta^min_a), both evaluated at the given arc flows. On
 common-source instances the flow is inducible if and only if this graph
 has no negative-cost cycle; shortest-path potentials then recover an
-inducing deviation. With several sources the cycle test fails (remark
-B1); the oracle decides inducibility there by an exact margin LP over
-per-arc deviation values and per-commodity potentials, for any number of
-sources.
+inducing deviation. Both come from one search from the common source with
+the Bellman-Ford kernel that the equilibrium solver uses. With several
+sources the cycle test fails (remark B1); the oracle decides inducibility
+there by an exact margin LP over per-arc deviation values and
+per-commodity potentials, for any number of sources.
 """
 from __future__ import annotations
 
@@ -71,9 +72,10 @@ def build_aux_graph(instance: Instance, flow: Flow) -> AuxGraph:
 class InducibilityResult:
     inducible: bool
     witness: tuple[AuxArc, ...] | None = None
-    #: True when the witness cycle is reachable from the common source;
-    #: cycles in unreachable components still count against inducibility
-    #: but are reported separately.
+    #: True whenever a witness is given. Under the threshold assumption
+    #: every forward aux arc costs l + theta^max >= 0, so a negative cycle
+    #: uses a reversed flow-carrying arc, whose ends lie on flow paths from
+    #: the common source; the one search from the source reaches it.
     witness_reachable: bool | None = None
 
     def __bool__(self) -> bool:
@@ -100,6 +102,11 @@ def _aux_search(instance: Instance, flow: Flow
 
 def is_inducible(instance: Instance, flow: Flow) -> InducibilityResult:
     """Negative-cycle test on the auxiliary graph.
+
+    One Bellman-Ford search from the common source, with the kernel that
+    the equilibrium solver uses; a negative cycle it finds is the witness.
+    One search suffices: every negative cycle passes through a reversed
+    flow-carrying arc, which the source reaches (see witness_reachable).
 
     Only valid for common-source instances: with several sources a flow
     can be inducible although the auxiliary graph has a negative cycle

@@ -62,31 +62,28 @@ def worst_deviation(instance: Instance, lambda_grid: int = 4,
                     config: SolverConfig = SolverConfig(),
                     budget: int = _DEFAULT_COMBO_BUDGET,
                     seed: int = 0) -> tuple[Deviation, float]:
-    """Grid argmax of the worst equilibrium cost. ``seed`` is unused."""
+    """Grid argmax of the worst equilibrium cost; the first of tied grid
+    points wins. ``seed`` is unused."""
     _require_zero_theta_min(instance)
-    best: tuple[Deviation, float] | None = None
-    for _, deviation in _lambda_deviations(instance, lambda_grid, budget):
-        cost = worst_equilibrium_cost(instance, deviation, config, seed)
-        if best is None or cost > best[1]:
-            best = (deviation, cost)
-    assert best is not None
-    return best
+    return max(((deviation,
+                 worst_equilibrium_cost(instance, deviation, config, seed))
+                for _, deviation
+                in _lambda_deviations(instance, lambda_grid, budget)),
+               key=lambda pair: pair[1])
 
 
 def best_deviation(instance: Instance, lambda_grid: int = 4,
                    config: SolverConfig = SolverConfig(),
                    budget: int = _DEFAULT_COMBO_BUDGET,
                    seed: int = 0) -> tuple[Deviation, float]:
-    """Grid argmin of the equilibrium cost (restricted-toll flavour)."""
+    """Grid argmin of the equilibrium cost (restricted-toll flavour); the
+    first of tied grid points wins."""
     _require_zero_theta_min(instance)
-    best: tuple[Deviation, float] | None = None
-    for _, deviation in _lambda_deviations(instance, lambda_grid, budget):
-        result = wardrop(instance, deviation, config)
-        cost = social_cost(instance, result.flow)
-        if best is None or cost < best[1]:
-            best = (deviation, cost)
-    assert best is not None
-    return best
+    return min(((deviation, social_cost(
+                    instance, wardrop(instance, deviation, config).flow))
+                for _, deviation
+                in _lambda_deviations(instance, lambda_grid, budget)),
+               key=lambda pair: pair[1])
 
 
 def deviation_grid_costs(instance: Instance, lambda_grid: int = 4,

@@ -82,6 +82,17 @@ class TestSolve:
         assert cost == pytest.approx(4.0, rel=1e-4)
         assert flow_out.exists()
 
+    def test_subnormal_deviation_coefficient(self, runner, tmp_path):
+        # a cubic coefficient of 1e-320 made numpy's root finder raise
+        out = gen(runner, tmp_path, "braess", "--m", "2", "--beta", "1")
+        dev_path = tmp_path / "dev.json"
+        dev_path.write_text(json.dumps(
+            {"arcs": {"v1>w1": {"poly": [0.0, 0.5, 0.0, 1e-320]}}}))
+        result = runner.invoke(main, ["solve", str(out), "--deviation",
+                                      str(dev_path)])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith("C=")
+
     def test_missing_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["solve", "no-such-file.json"])
         assert result.exit_code == 2

@@ -340,6 +340,15 @@ class TestCriticalPoints:
         assert critical_points([(1.0, quadratic), (-1.0, quadratic)],
                                1.0) == [0.0, 1.0]
 
+    def test_negligible_leading_coefficients(self):
+        # g' = -1 + x + 1e-16 x^2 has its root at 1, not at 2 where the
+        # eigenvalue root lands; a subnormal coefficient made it raise
+        dip = Curve.poly([0.0, -1.0, 0.5, 1e-16 / 3])
+        assert critical_points([(1.0, dip)], 3.0) == pytest.approx(
+            [0.0, 1.0, 3.0])
+        assert critical_points([(1.0, Curve.poly([0.0, 0.5, 0.0, 1e-320]))],
+                               3.0) == [0.0, 3.0]
+
 
 def _values(lo: int, hi: int, scale: float = 1.0):
     """Strategy: multiples of scale / 1000 in [lo, hi] * scale / 1000, so

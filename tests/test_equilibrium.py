@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from devratio.core import (Arc, Commodity, Curve, Deviation, Flow, Instance,
                            enumerate_paths, social_cost)
-from devratio.equilibrium import (SolverConfig, beckmann_potential,
+from devratio.equilibrium import (SolverConfig, _shortest_paths,
+                                  beckmann_potential,
                                   check_monotone_perceived, relative_gap,
                                   shortest_path, verify_nash, wardrop,
                                   worst_equilibrium_cost)
-from devratio.errors import InvalidConfig, NonLinearFace, NonMonotonePerceived
+from devratio.errors import (InvalidConfig, InvalidInstance, NonLinearFace,
+                             NonMonotonePerceived)
 from devratio.generators import braess
 from devratio.search import (random_common_source_instance,
                              random_feasible_deviation)
@@ -56,6 +58,55 @@ class TestShortestPath:
                                    "s", "t")
         assert path == ("a", "b") and dist == pytest.approx(0.5)
 
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_path_enumeration_on_dags(self, seed):
+        # random DAG on v0..v(n-1) with arc costs of either sign; the
+        # reference is the least cost over all enumerated paths
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        nodes = [f"v{i}" for i in range(n)]
+        arcs = [Arc(f"a{i}{j}", nodes[i], nodes[j], Curve.constant(1.0))
+                for i in range(n) for j in range(i + 1, n)
+                if rng.random() < 0.5]
+        costs = {a.id: rng.choice([-1.0, 1.0]) * rng.randint(0, 5) / 2
+                 for a in arcs}
+        commodity = Commodity("v0", rng.choice(nodes[1:]), 1.0)
+        inst = Instance(nodes, arcs, [commodity])
+        lengths = [sum(costs[a] for a in p)
+                   for p in enumerate_paths(inst, commodity)]
+        found = shortest_path(inst, costs, commodity.source, commodity.sink)
+        if not lengths:
+            assert found is None
+            return
+        path, length = found
+        assert path in enumerate_paths(inst, commodity)
+        assert length == pytest.approx(min(lengths), abs=1e-12)
+        assert sum(costs[a] for a in path) == pytest.approx(length,
+                                                            abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 10, 19])
+    def test_one_search_per_source_matches_each_commodity(self, seed):
+        rng = random.Random(seed)
+        inst = random_common_source_instance(rng, max_nodes=8,
+                                             max_commodities=4)
+        assert len(inst.commodities) > 1
+        costs = {a.id: rng.uniform(0.0, 2.0) for a in inst.arcs}
+        assert _shortest_paths(inst, costs) == [
+            shortest_path(inst, costs, c.source, c.sink)
+            for c in inst.commodities]
+
+    def test_negative_cycle_is_typed_error(self):
+        inst = Instance(["s", "u", "w", "t"],
+                        [Arc("a", "s", "u", Curve.constant(1.0)),
+                         Arc("b", "u", "w", Curve.constant(1.0)),
+                         Arc("c", "w", "u", Curve.constant(1.0)),
+                         Arc("d", "u", "t", Curve.constant(1.0))],
+                        [Commodity("s", "t", 1.0)])
+        with pytest.raises(InvalidInstance, match="negative-cost cycle"):
+            shortest_path(inst, {"a": 1.0, "b": -2.0, "c": 1.0, "d": 1.0},
+                          "s", "t")
+
 
 class TestMonotoneCheck:
     def test_plain_latencies_pass(self):
@@ -80,6 +131,14 @@ class TestMonotoneCheck:
         dev = Deviation({"a1": Curve.poly(
             [3 * h * h * c - c ** 3, 3 * c * c - 3 * h * h, -3 * c, 1.0])})
         inst = pigou(Curve.constant(1.0), Curve.constant(1.0))
+        with pytest.raises(NonMonotonePerceived, match="decreasing"):
+            check_monotone_perceived(inst, dev)
+
+    def test_badly_scaled_cubic_dip_rejected(self):
+        # 1 - x + x^2/2 dips to 1/2 at x = 1; the cubic term, 1e-16 times
+        # smaller, made the eigenvalue root of q' land at 2 instead
+        dev = Deviation({"a1": Curve.poly([0.0, -1.0, 0.5, 1e-16 / 3])})
+        inst = pigou(Curve.constant(1.0), Curve.constant(1.0), demand=3.0)
         with pytest.raises(NonMonotonePerceived, match="decreasing"):
             check_monotone_perceived(inst, dev)
 
@@ -268,8 +327,9 @@ class TestWorstEquilibriumCost:
                         [Arc("a", "s", "u", one), Arc("b", "u", "t", one),
                          Arc("c", "u", "w", zero), Arc("d", "w", "u", zero)],
                         [Commodity("s", "t", 1.0)])
-        with pytest.raises(NonLinearFace, match="cycle"):
+        with pytest.raises(NonLinearFace, match="cycle") as info:
             worst_equilibrium_cost(inst)
+        assert "arc 'c'" in str(info.value) or "arc 'd'" in str(info.value)
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)

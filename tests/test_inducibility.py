@@ -194,7 +194,10 @@ class TestOracle:
         if len(inst.arcs) > 6:
             return
         flow = random_flow(rng, inst)
-        exact = is_inducible(inst, flow).inducible
+        result = is_inducible(inst, flow)
+        exact = result.inducible
+        if not exact:
+            assert result.witness and result.witness_reachable
         verdict = oracle_inducible(inst, flow)
         if verdict.inducible != exact:
             # disagreement only allowed at grid resolution
