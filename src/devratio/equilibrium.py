@@ -4,8 +4,8 @@ The solver minimizes the Beckmann potential sum_a integral_0^{f_a} q_a(u) du
 (q_a = l_a + delta_a) over feasible path flows. It combines path
 equilibration (pairwise shifts between the most and least expensive active
 paths, with an exact root search on the potential derivative) with column
-generation: new paths enter via shortest-path computations on the arc
-graph, which also certify the equilibrium gap against the full path space.
+generation: each round runs one shortest-path search per source, which
+certifies the equilibrium gap and supplies the next round's columns.
 
 Every equilibrium shares the perceived arc costs of the solved one, so the
 worst equilibrium cost is exact: one LP over the face of equilibrium flows.
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from scipy.optimize import brentq, linprog
 from scipy.sparse import coo_array
 
-from .core import (SUPPORT_EPS, ZERO_CURVE, Arc, Commodity, Deviation, Flow,
-                   Instance, Path, critical_points, social_cost)
+from .core import (SUPPORT_EPS, ZERO_CURVE, Arc, Deviation, Flow, Instance,
+                   Path, critical_points, social_cost)
 from .errors import (ConstructionFailed, InvalidConfig, InvalidInstance,
                      NonLinearFace, NonMonotonePerceived, NotConverged)
 
@@ -158,11 +158,6 @@ def shortest_path(instance: Instance, costs: dict[str, float],
     return _route(instance, dist, pred, source, sink)
 
 
-def _unreachable(commodity: Commodity) -> InvalidInstance:
-    return InvalidInstance(
-        f"sink {commodity.sink!r} unreachable from {commodity.source!r}")
-
-
 def _shortest_paths(instance: Instance, costs: dict[str, float]
                     ) -> list[tuple[Path, float]]:
     """Each commodity's shortest path and its length, from one search per
@@ -174,9 +169,17 @@ def _shortest_paths(instance: Instance, costs: dict[str, float]
         best = _route(instance, *searches[commodity.source],
                       commodity.source, commodity.sink)
         if best is None:
-            raise _unreachable(commodity)
+            raise InvalidInstance(f"sink {commodity.sink!r} unreachable "
+                                  f"from {commodity.source!r}")
         found.append(best)
     return found
+
+
+def _arc_costs(instance: Instance, deviation: Deviation | None,
+               arc_flows: dict[str, float]) -> dict[str, float]:
+    """The perceived cost of every arc at the given arc flows."""
+    return {a.id: perceived_cost(instance, deviation, a.id, arc_flows[a.id])
+            for a in instance.arcs}
 
 
 def beckmann_potential(instance: Instance, flow: Flow,
@@ -189,42 +192,36 @@ def beckmann_potential(instance: Instance, flow: Flow,
     return total
 
 
-def relative_gap(instance: Instance, flow: Flow,
-                 deviation: Deviation | None) -> float:
-    """(sum_i r_i (avg perceived_i - shortest_i)) / sum_i r_i shortest_i."""
-    costs = {a.id: perceived_cost(instance, deviation, a.id,
-                                  flow.arc_flow(a.id))
-             for a in instance.arcs}
+def _gap(instance: Instance, commodity_paths: tuple[dict[Path, float], ...],
+         costs: dict[str, float],
+         shortest: list[tuple[Path, float]]) -> float:
     num = 0.0
     den = 0.0
-    for commodity, paths, (_, shortest) in zip(
-            instance.commodities, flow.commodity_paths,
-            _shortest_paths(instance, costs)):
+    for commodity, paths, (_, least) in zip(instance.commodities,
+                                            commodity_paths, shortest):
         avg = sum(v * sum(costs[a] for a in p) for p, v in paths.items())
-        num += avg - commodity.demand * shortest
-        den += commodity.demand * shortest
+        num += avg - commodity.demand * least
+        den += commodity.demand * least
     return max(num, 0.0) / max(den, _GAP_DENOM_FLOOR)
 
 
-class _CommodityState:
-    """Mutable active-path flows for one commodity during a solve."""
-
-    def __init__(self, commodity: Commodity, initial: dict[Path, float]):
-        self.commodity = commodity
-        self.flows: dict[Path, float] = dict(initial)
-
-    def prune(self) -> None:
-        self.flows = {p: v for p, v in self.flows.items() if v > 1e-15}
+def relative_gap(instance: Instance, flow: Flow,
+                 deviation: Deviation | None) -> float:
+    """(sum_i r_i (avg perceived_i - shortest_i)) / sum_i r_i shortest_i."""
+    costs = _arc_costs(instance, deviation, flow.arc_flows)
+    return _gap(instance, flow.commodity_paths, costs,
+                _shortest_paths(instance, costs))
 
 
 def _shift(instance: Instance, deviation: Deviation | None,
-           arc_flows: dict[str, float], state: _CommodityState,
-           p_from: Path, p_to: Path) -> None:
+           arc_flows: dict[str, float], costs: dict[str, float],
+           paths: dict[Path, float], p_from: Path, p_to: Path) -> None:
     """Move flow from p_from to p_to, minimizing the potential along the
-    segment. The derivative is monotone, so an exact root search applies."""
+    segment by an exact root search on its monotone derivative, and reprice
+    the arcs that moved in costs."""
     only_to = [a for a in p_to if a not in set(p_from)]
     only_from = [a for a in p_from if a not in set(p_to)]
-    d_max = state.flows[p_from]
+    d_max = paths[p_from]
 
     def deriv(d: float) -> float:
         up = sum(perceived_cost(instance, deviation, a, arc_flows[a] + d)
@@ -243,58 +240,59 @@ def _shift(instance: Instance, deviation: Deviation | None,
         arc_flows[a] += d
     for a in only_from:
         arc_flows[a] -= d
-    state.flows[p_from] -= d
-    state.flows[p_to] = state.flows.get(p_to, 0.0) + d
-    state.prune()
+    for a in only_to + only_from:
+        costs[a] = perceived_cost(instance, deviation, a, arc_flows[a])
+    paths[p_from] -= d
+    paths[p_to] = paths.get(p_to, 0.0) + d
+    for p in [p for p, v in paths.items() if v <= 1e-15]:
+        del paths[p]
 
 
 def wardrop(instance: Instance, deviation: Deviation | None = None,
             config: SolverConfig = SolverConfig(),
             initial_paths: list[dict[Path, float]] | None = None
             ) -> EquilibriumResult:
-    """Equilibrium flow with certified relative gap <= the tolerance."""
+    """Equilibrium flow with certified relative gap <= the tolerance. Each
+    round prices the flow once; one search per source gives the gap and,
+    above the tolerance, each commodity's next column."""
     check_monotone_perceived(instance, deviation)
-
-    states: list[_CommodityState] = []
     if initial_paths is None:
-        zero_costs = {a.id: perceived_cost(instance, deviation, a.id, 0.0)
-                      for a in instance.arcs}
-        for commodity, (path, _) in zip(
-                instance.commodities, _shortest_paths(instance, zero_costs)):
-            states.append(_CommodityState(commodity, {path: commodity.demand}))
+        zero = _arc_costs(instance, deviation,
+                          dict.fromkeys(instance.arcs_by_id, 0.0))
+        columns = [{path: commodity.demand} for commodity, (path, _) in zip(
+            instance.commodities, _shortest_paths(instance, zero))]
     else:
-        for commodity, paths in zip(instance.commodities, initial_paths):
-            states.append(_CommodityState(commodity, dict(paths)))
+        columns = [dict(paths) for paths in initial_paths]
 
-    arc_flows = {a.id: 0.0 for a in instance.arcs}
-    for state in states:
-        for path, value in state.flows.items():
-            for a in path:
-                arc_flows[a] += value
-
-    def current_flow() -> Flow:
-        return Flow(instance, [s.flows for s in states], check=False)
+    # pair shifts update arc_flows and costs in place; the gap re-sums
+    arc_flows = dict(Flow(instance, columns, check=False).arc_flows)
+    costs = _arc_costs(instance, deviation, arc_flows)
 
     iterations = 0
-    prev_potential = beckmann_potential(instance, current_flow(), deviation)
-    gap = math.inf
+    prev_potential = math.inf
     inner_tol = config.relative_gap_tol * 1e-3
+    while True:
+        flow = Flow(instance, columns, check=False)
+        potential = beckmann_potential(instance, flow, deviation)
+        if not potential <= prev_potential + 1e-10:
+            raise ConstructionFailed("potential increased")
+        prev_potential = potential
+        flow_costs = _arc_costs(instance, deviation, flow.arc_flows)
+        shortest = _shortest_paths(instance, flow_costs)
+        gap = _gap(instance, flow.commodity_paths, flow_costs, shortest)
+        if gap <= config.relative_gap_tol:
+            return EquilibriumResult(Flow(instance, columns), gap,
+                                     iterations, potential)
+        if iterations >= config.max_iterations:
+            raise NotConverged(gap, config.relative_gap_tol, iterations)
 
-    while iterations < config.max_iterations:
-        costs = {a.id: perceived_cost(instance, deviation, a.id, arc_flows[a.id])
-                 for a in instance.arcs}
-        # column generation: bring in each commodity's current shortest path
-        for state, (path, _) in zip(states, _shortest_paths(instance, costs)):
-            state.flows.setdefault(path, 0.0)
-
-        for state in states:
+        for paths, (path, _) in zip(columns, shortest):
+            paths.setdefault(path, 0.0)
             for _ in range(200):
                 iterations += 1
-                path_costs = {p: sum(
-                    perceived_cost(instance, deviation, a, arc_flows[a])
-                    for a in p) for p in state.flows}
+                path_costs = {p: sum(costs[a] for a in p) for p in paths}
                 carrying = {p: c for p, c in path_costs.items()
-                            if state.flows[p] > 1e-15}
+                            if paths[p] > 1e-15}
                 if not carrying:
                     break
                 p_from = max(carrying, key=lambda p: (carrying[p], p))
@@ -302,20 +300,8 @@ def wardrop(instance: Instance, deviation: Deviation | None = None,
                 scale = max(abs(path_costs[p_to]), 1.0)
                 if carrying[p_from] - path_costs[p_to] <= inner_tol * scale:
                     break
-                _shift(instance, deviation, arc_flows, state, p_from, p_to)
-
-        flow = current_flow()
-        potential = beckmann_potential(instance, flow, deviation)
-        if not potential <= prev_potential + 1e-10:
-            raise ConstructionFailed("potential increased")
-        prev_potential = potential
-        gap = relative_gap(instance, flow, deviation)
-        if gap <= config.relative_gap_tol:
-            return EquilibriumResult(Flow(instance, [s.flows for s in states]),
-                                     gap, iterations, potential)
-        inner_tol = min(inner_tol, max(gap * 1e-3, 1e-16))
-
-    raise NotConverged(gap, config.relative_gap_tol, iterations)
+                _shift(instance, deviation, arc_flows, costs, paths, p_from,
+                       p_to)
 
 
 def verify_nash(instance: Instance, flow: Flow,
@@ -323,9 +309,7 @@ def verify_nash(instance: Instance, flow: Flow,
                 eps: float = 1e-9) -> list[dict]:
     """Flow-carrying paths must be within eps of each commodity's shortest
     perceived path latency; returns the list of violations."""
-    costs = {a.id: perceived_cost(instance, deviation, a.id,
-                                  flow.arc_flow(a.id))
-             for a in instance.arcs}
+    costs = _arc_costs(instance, deviation, flow.arc_flows)
     report = []
     for i, (paths, (_, shortest)) in enumerate(
             zip(flow.commodity_paths, _shortest_paths(instance, costs))):
@@ -401,8 +385,7 @@ def worst_equilibrium_cost(instance: Instance,
     cost = social_cost(instance, solved)
     eps = 10.0 * config.relative_gap_tol
     x = solved.arc_flows
-    q_star = {a.id: perceived_cost(instance, deviation, a.id, x[a.id])
-              for a in instance.arcs}
+    q_star = _arc_costs(instance, deviation, x)
     faces = {a.id: _face(instance, deviation, a, x[a.id], q_star[a.id], eps)
              for a in instance.arcs}
     if all(lo == hi for lo, hi in faces.values()):
@@ -421,8 +404,10 @@ def worst_equilibrium_cost(instance: Instance,
     # (commodity, arc) pairs of zero reduced cost, plus the ones the solved
     # flow uses so that it stays feasible whatever the rounding
     columns: list[tuple[int, Arc]] = []
+    dists = {s: _search(instance, q_star, s)[0]
+             for s in {c.source for c in instance.commodities}}
     for i, commodity in enumerate(instance.commodities):
-        dist, _ = _search(instance, q_star, commodity.source)
+        dist = dists[commodity.source]
         tol = eps * max(1.0, dist[commodity.sink])
         carried = solved.commodity_arc_flows[i]
         tight = [a for a in instance.arcs
