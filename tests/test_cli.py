@@ -3,7 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from devratio import cli
 from devratio.cli import main
+from devratio.errors import NotConverged
 
 
 @pytest.fixture
@@ -124,6 +126,17 @@ class TestSolve:
         result = runner.invoke(main, ["solve", str(out)])
         assert result.exit_code == 2
         assert named in result.output
+
+    def test_not_converged_exits_4(self, runner, tmp_path, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise NotConverged(2.5e-5, 1e-8, 200000)
+
+        monkeypatch.setattr(cli, "wardrop", stalled)
+        out = gen(runner, tmp_path, "braess", "--m", "2")
+        result = runner.invoke(main, ["solve", str(out)])
+        assert result.exit_code == 4
+        assert ("relative gap 2.500e-05 above tolerance 1.0e-08 after "
+                "200000 iterations") in result.output
 
     def test_unreachable_sink_is_domain_error(self, runner, tmp_path):
         out = gen(runner, tmp_path, "braess", "--m", "2")

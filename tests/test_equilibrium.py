@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from devratio import equilibrium
 from devratio.core import (Arc, Commodity, Curve, Deviation, Flow, Instance,
                            enumerate_paths, social_cost)
 from devratio.equilibrium import (SolverConfig, _shortest_paths,
@@ -11,7 +12,7 @@ from devratio.equilibrium import (SolverConfig, _shortest_paths,
                                   shortest_path, verify_nash, wardrop,
                                   worst_equilibrium_cost)
 from devratio.errors import (InvalidConfig, InvalidInstance, NonLinearFace,
-                             NonMonotonePerceived)
+                             NonMonotonePerceived, NotConverged)
 from devratio.generators import braess
 from devratio.search import (random_common_source_instance,
                              random_feasible_deviation)
@@ -185,13 +186,48 @@ class TestWardrop:
         cost = worst_equilibrium_cost(case.instance, case.deviation, seed=0)
         assert cost == pytest.approx(case.expected_ratio, rel=1e-6)
 
-    def test_gap_certificate_recomputes(self):
-        case = braess(4, 0.5)
-        result = wardrop(case.instance, case.deviation)
+    @pytest.mark.parametrize("m, beta, deviated", [
+        (4, 0.5, True), (13, 1.0, False)],
+        ids=["deviated-braess4", "undeviated-braess13"])
+    def test_gap_certificate_recomputes(self, m, beta, deviated):
+        case = braess(m, beta)
+        deviation = case.deviation if deviated else None
+        result = wardrop(case.instance, deviation)
         assert relative_gap(case.instance, result.flow,
-                            case.deviation) == pytest.approx(
-            result.relative_gap, abs=1e-12)
+                            deviation) == result.relative_gap
         assert result.relative_gap <= SolverConfig().relative_gap_tol
+
+    def test_no_search_repeats_the_costs_before_it(self, monkeypatch):
+        # the gap's search supplies the next round's columns, so no search
+        # repeats the costs of the one before it
+        calls = []
+        search = equilibrium._search
+
+        def recording(instance, costs, source):
+            calls.append(dict(costs))
+            return search(instance, costs, source)
+
+        monkeypatch.setattr(equilibrium, "_search", recording)
+        wardrop(braess(8, 1.0).instance)
+        assert len(calls) > 2
+        assert all(a != b for a, b in zip(calls, calls[1:]))
+
+    @pytest.mark.parametrize("deviated", [False, True])
+    def test_start_at_equilibrium_takes_no_iteration(self, deviated):
+        case = braess(3, 1.0)
+        start, deviation = (case.x, case.deviation) if deviated else (
+            case.z, None)
+        result = wardrop(case.instance, deviation, initial_paths=[
+            dict(p) for p in start.commodity_paths])
+        assert result.iterations == 0
+        assert result.flow.commodity_paths == start.commodity_paths
+
+    def test_iteration_budget_raises_not_converged(self):
+        with pytest.raises(NotConverged) as info:
+            wardrop(braess(13, 1.0).instance,
+                    config=SolverConfig(max_iterations=100))
+        assert info.value.gap > info.value.tol == 1e-8
+        assert info.value.iterations >= 100
 
     def test_tighter_tolerance_respected(self):
         inst = pigou(Curve.poly([0.0, 1.0]), Curve.poly([0.5, 1.0]))
@@ -226,6 +262,7 @@ class TestWardrop:
         dev = random_feasible_deviation(rng, inst)
         result = wardrop(inst, dev)
         assert result.relative_gap <= 1e-8
+        assert relative_gap(inst, result.flow, dev) == result.relative_gap
         assert verify_nash(inst, result.flow, dev, eps=1e-6) == []
 
     @given(st.integers(0, 10**6))
