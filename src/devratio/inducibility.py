@@ -50,16 +50,28 @@ class AuxGraph:
         return "\n".join(lines)
 
 
+def _arc_table(instance: Instance, flow: Flow
+               ) -> dict[str, tuple[float, float, float]]:
+    """l_a, theta^min_a and theta^max_a of every arc at its flow."""
+    thresholds = instance.thresholds
+    table = {}
+    for arc in instance.arcs:
+        x = flow.arc_flow(arc.id)
+        table[arc.id] = (arc.latency.eval(x), thresholds.theta_min(arc, x),
+                         thresholds.theta_max(arc, x))
+    return table
+
+
 def build_aux_graph(instance: Instance, flow: Flow) -> AuxGraph:
     """Forward copies of all arcs plus reversed copies of support arcs."""
-    thresholds = instance.thresholds
+    table = _arc_table(instance, flow)
     aux: list[AuxArc] = []
     for arc in instance.arcs:
         x = flow.arc_flow(arc.id)
-        forward = arc.latency.eval(x) + thresholds.theta_max(arc, x)
-        aux.append(AuxArc(arc.id, arc.tail, arc.head, forward, False))
+        latency, lo, hi = table[arc.id]
+        aux.append(AuxArc(arc.id, arc.tail, arc.head, latency + hi, False))
         if x > SUPPORT_EPS:
-            backward = -(arc.latency.eval(x) + thresholds.theta_min(arc, x))
+            backward = -(latency + lo)
             if backward > 1e-12:
                 raise InvalidInstance(
                     f"l + theta_min = {-backward} < 0 on arc {arc.id!r} at "
@@ -137,15 +149,14 @@ def recover_deviation(instance: Instance, flow: Flow) -> Deviation:
     if cycle is not None:
         raise NotInducible("flow admits no feasible inducing deviation")
     thresholds = instance.thresholds
+    table = _arc_table(instance, flow)
     curves: dict[str, Curve] = {}
     for arc in instance.arcs:
         if not (math.isfinite(pi.get(arc.tail, math.inf))
                 and math.isfinite(pi.get(arc.head, math.inf))):
             continue  # unreachable from the source: any feasible value works
-        x = flow.arc_flow(arc.id)
-        lo = thresholds.theta_min(arc, x)
-        hi = thresholds.theta_max(arc, x)
-        value = max(lo, pi[arc.head] - pi[arc.tail] - arc.latency.eval(x))
+        latency, lo, hi = table[arc.id]
+        value = max(lo, pi[arc.head] - pi[arc.tail] - latency)
         value = min(max(value, lo), hi)
         if value >= 0.0:
             if hi > 1e-15:
@@ -192,14 +203,12 @@ def oracle_inducible(instance: Instance, flow: Flow) -> OracleResult:
     re-measured with verify_nash at the LP's deviation clamped into its
     bounds, so it is a violation that a feasible deviation reaches.
     """
-    thresholds = instance.thresholds
     arcs = instance.arcs
     n_arcs, n_nodes = len(arcs), len(instance.nodes)
     node_index = {v: j for j, v in enumerate(instance.nodes)}
     arc_index = {a.id: j for j, a in enumerate(arcs)}
     n_vars = n_arcs + n_nodes * len(instance.commodities) + 1
-    xs = [flow.arc_flow(a.id) for a in arcs]
-    base = [a.latency.eval(x) for a, x in zip(arcs, xs)]
+    base, lows, highs = zip(*_arc_table(instance, flow).values())
     rows = _SparseRows()
     for i, (commodity, paths) in enumerate(zip(instance.commodities,
                                                flow.commodity_paths)):
@@ -214,8 +223,6 @@ def oracle_inducible(instance: Instance, flow: Flow) -> OracleResult:
                             (pi + node_index[commodity.source], 1.0),
                             (n_vars - 1, -1.0)],
                          -sum(base[arc_index[a]] for a in path))
-    lows = [thresholds.theta_min(a, x) for a, x in zip(arcs, xs)]
-    highs = [thresholds.theta_max(a, x) for a, x in zip(arcs, xs)]
     bounds = (list(zip(lows, highs))
               + [(None, None)] * (n_vars - n_arcs - 1) + [(0.0, None)])
     cost = [0.0] * (n_vars - 1) + [1.0]
@@ -253,18 +260,10 @@ def check_path_inequalities(instance: Instance, flow: Flow,
     commodity index and aux-arc list; orientation is inferred from the
     path's endpoints. Returns the list of violations.
     """
-    thresholds = instance.thresholds
     source = instance.source
-
-    def lo_cost(arc_id: str) -> float:
-        arc = instance.arcs_by_id[arc_id]
-        x = flow.arc_flow(arc_id)
-        return arc.latency.eval(x) + thresholds.theta_min(arc, x)
-
-    def hi_cost(arc_id: str) -> float:
-        arc = instance.arcs_by_id[arc_id]
-        x = flow.arc_flow(arc_id)
-        return arc.latency.eval(x) + thresholds.theta_max(arc, x)
+    table = _arc_table(instance, flow)
+    lo_cost = {a: latency + lo for a, (latency, lo, _) in table.items()}
+    hi_cost = {a: latency + hi for a, (latency, _, hi) in table.items()}
 
     report = []
     for i, aux_path in alt_paths:
@@ -275,10 +274,10 @@ def check_path_inequalities(instance: Instance, flow: Flow,
             continue
         start = aux_path[0].tail
         end = aux_path[-1].head
-        rhs_fwd = sum(hi_cost(a.arc_id) for a in aux_path if not a.is_reversed)
-        rhs_rev = sum(lo_cost(a.arc_id) for a in aux_path if a.is_reversed)
+        rhs_fwd = sum(hi_cost[a.arc_id] for a in aux_path if not a.is_reversed)
+        rhs_rev = sum(lo_cost[a.arc_id] for a in aux_path if a.is_reversed)
         if start == source and end == commodity.sink:
-            lhs = min(sum(lo_cost(a) for a in p) for p in carrying)
+            lhs = min(sum(lo_cost[a] for a in p) for p in carrying)
             rhs = rhs_fwd - rhs_rev
             if lhs > rhs + 1e-9:
                 report.append({"commodity": i, "kind": "source_to_sink",
@@ -286,7 +285,7 @@ def check_path_inequalities(instance: Instance, flow: Flow,
                                "path": [(a.arc_id, a.is_reversed)
                                         for a in aux_path]})
         elif start == commodity.sink and end == source:
-            lhs = max(sum(hi_cost(a) for a in p) for p in carrying)
+            lhs = max(sum(hi_cost[a] for a in p) for p in carrying)
             rhs = rhs_rev - rhs_fwd
             if lhs < rhs - 1e-9:
                 report.append({"commodity": i, "kind": "sink_to_source",
