@@ -264,7 +264,8 @@ def wardrop(instance: Instance, deviation: Deviation | None = None,
     else:
         columns = [dict(paths) for paths in initial_paths]
 
-    # pair shifts update arc_flows and costs in place; the gap re-sums
+    # pair shifts keep arc_flows and costs current across rounds; each
+    # round's gap prices the path flows as Flow sums them again
     arc_flows = dict(Flow(instance, columns, check=False).arc_flows)
     costs = _arc_costs(instance, deviation, arc_flows)
 
@@ -405,7 +406,7 @@ def worst_equilibrium_cost(instance: Instance,
     # flow uses so that it stays feasible whatever the rounding
     columns: list[tuple[int, Arc]] = []
     dists = {s: _search(instance, q_star, s)[0]
-             for s in {c.source for c in instance.commodities}}
+             for s in dict.fromkeys(c.source for c in instance.commodities)}
     for i, commodity in enumerate(instance.commodities):
         dist = dists[commodity.source]
         tol = eps * max(1.0, dist[commodity.sink])
