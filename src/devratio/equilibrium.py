@@ -254,7 +254,8 @@ def wardrop(instance: Instance, deviation: Deviation | None = None,
             ) -> EquilibriumResult:
     """Equilibrium flow with certified relative gap <= the tolerance. Each
     round prices the flow once; one search per source gives the gap and,
-    above the tolerance, each commodity's next column."""
+    unless the gap ends the solve, each commodity's next column. The first
+    round always runs, so ``iterations`` is at least the commodity count."""
     check_monotone_perceived(instance, deviation)
     if initial_paths is None:
         zero = _arc_costs(instance, deviation,
@@ -266,22 +267,24 @@ def wardrop(instance: Instance, deviation: Deviation | None = None,
 
     # pair shifts keep arc_flows and costs current across rounds; each
     # round's gap prices the path flows as Flow sums them again
-    arc_flows = dict(Flow(instance, columns, check=False).arc_flows)
-    costs = _arc_costs(instance, deviation, arc_flows)
+    flow = Flow(instance, columns, check=False)
+    arc_flows = dict(flow.arc_flows)
+    flow_costs = _arc_costs(instance, deviation, arc_flows)
+    costs = dict(flow_costs)
 
     iterations = 0
     prev_potential = math.inf
     inner_tol = config.relative_gap_tol * 1e-3
     while True:
-        flow = Flow(instance, columns, check=False)
         potential = beckmann_potential(instance, flow, deviation)
         if not potential <= prev_potential + 1e-10:
             raise ConstructionFailed("potential increased")
         prev_potential = potential
-        flow_costs = _arc_costs(instance, deviation, flow.arc_flows)
         shortest = _shortest_paths(instance, flow_costs)
         gap = _gap(instance, flow.commodity_paths, flow_costs, shortest)
-        if gap <= config.relative_gap_tol:
+        # a start within the tolerance is still equilibrated once, to the
+        # tighter inner_tol of the pair steps
+        if iterations and gap <= config.relative_gap_tol:
             return EquilibriumResult(Flow(instance, columns), gap,
                                      iterations, potential)
         if iterations >= config.max_iterations:
@@ -303,6 +306,8 @@ def wardrop(instance: Instance, deviation: Deviation | None = None,
                     break
                 _shift(instance, deviation, arc_flows, costs, paths, p_from,
                        p_to)
+        flow = Flow(instance, columns, check=False)
+        flow_costs = _arc_costs(instance, deviation, flow.arc_flows)
 
 
 def verify_nash(instance: Instance, flow: Flow,

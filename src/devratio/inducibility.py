@@ -64,7 +64,11 @@ def _arc_table(instance: Instance, flow: Flow
 
 def build_aux_graph(instance: Instance, flow: Flow) -> AuxGraph:
     """Forward copies of all arcs plus reversed copies of support arcs."""
-    table = _arc_table(instance, flow)
+    return _aux_graph(instance, flow, _arc_table(instance, flow))
+
+
+def _aux_graph(instance: Instance, flow: Flow,
+               table: dict[str, tuple[float, float, float]]) -> AuxGraph:
     aux: list[AuxArc] = []
     for arc in instance.arcs:
         x = flow.arc_flow(arc.id)
@@ -95,21 +99,24 @@ class InducibilityResult:
 
 
 def _aux_search(instance: Instance, flow: Flow
-                ) -> tuple[dict[str, float], tuple[AuxArc, ...] | None]:
+                ) -> tuple[dict[str, float], tuple[AuxArc, ...] | None,
+                           dict[str, tuple[float, float, float]]]:
     """Bellman-Ford from the common source over the auxiliary graph: the
-    distance of every node (inf where unreachable) and a negative cycle,
-    or None."""
+    distance of every node (inf where unreachable), a negative cycle or
+    None, and the per-arc table the graph was built from."""
     if not instance.common_source:
         raise NotCommonSource(
             "inducibility via the negative-cycle test needs a common source; "
             "multi-source instances admit inducible flows whose auxiliary "
             "graph still has a negative cycle")
-    graph = build_aux_graph(instance, flow)
+    table = _arc_table(instance, flow)
+    graph = _aux_graph(instance, flow, table)
     init = dict.fromkeys(graph.nodes, math.inf)
     init[instance.source] = 0.0
     dist, _, cycle = _bellman_ford(
         [(a.tail, a.head, a.cost) for a in graph.arcs], init, 1e-12)
-    return dist, None if cycle is None else tuple(graph.arcs[k] for k in cycle)
+    return (dist, None if cycle is None
+            else tuple(graph.arcs[k] for k in cycle), table)
 
 
 def is_inducible(instance: Instance, flow: Flow) -> InducibilityResult:
@@ -124,7 +131,7 @@ def is_inducible(instance: Instance, flow: Flow) -> InducibilityResult:
     can be inducible although the auxiliary graph has a negative cycle
     (the cycle may mix arcs that no single commodity can trade against).
     """
-    _, cycle = _aux_search(instance, flow)
+    _, cycle, _ = _aux_search(instance, flow)
     if cycle is not None:
         return InducibilityResult(False, cycle, True)
     return InducibilityResult(True)
@@ -132,7 +139,7 @@ def is_inducible(instance: Instance, flow: Flow) -> InducibilityResult:
 
 def potentials(instance: Instance, flow: Flow) -> dict[str, float]:
     """Shortest-path distances from the common source in the aux graph."""
-    pi, cycle = _aux_search(instance, flow)
+    pi, cycle, _ = _aux_search(instance, flow)
     if cycle is not None:
         raise NotInducible("auxiliary graph has a negative cycle")
     return pi
@@ -145,11 +152,10 @@ def recover_deviation(instance: Instance, flow: Flow) -> Deviation:
     the single value extends to a function by scaling theta^max (value >= 0)
     or theta^min (value < 0), so threshold feasibility holds everywhere.
     """
-    pi, cycle = _aux_search(instance, flow)
+    pi, cycle, table = _aux_search(instance, flow)
     if cycle is not None:
         raise NotInducible("flow admits no feasible inducing deviation")
     thresholds = instance.thresholds
-    table = _arc_table(instance, flow)
     curves: dict[str, Curve] = {}
     for arc in instance.arcs:
         if not (math.isfinite(pi.get(arc.tail, math.inf))

@@ -212,13 +212,14 @@ class TestWardrop:
         assert all(a != b for a, b in zip(calls, calls[1:]))
 
     @pytest.mark.parametrize("deviated", [False, True])
-    def test_start_at_equilibrium_takes_no_iteration(self, deviated):
+    def test_start_at_equilibrium_runs_one_round(self, deviated):
+        # one pair step per commodity, none of which moves flow
         case = braess(3, 1.0)
         start, deviation = (case.x, case.deviation) if deviated else (
             case.z, None)
         result = wardrop(case.instance, deviation, initial_paths=[
             dict(p) for p in start.commodity_paths])
-        assert result.iterations == 0
+        assert result.iterations == len(case.instance.commodities)
         assert result.flow.commodity_paths == start.commodity_paths
 
     def test_iteration_budget_raises_not_converged(self):
