@@ -82,6 +82,16 @@ class Curve:
         (x0, y0), (x1, y1) = pts[-2], pts[-1]
         return y1 + (y1 - y0) * (x - x1) / (x1 - x0)
 
+    def slope(self, x: float) -> float:
+        """Right derivative at x (a pwl curve's slope after a breakpoint)."""
+        if self.kind == "poly":
+            return _value_and_slope(self.data, x)[1]
+        pts = self.data
+        if len(pts) == 1 or x < pts[0][0]:
+            return 0.0
+        k = min(sum(px <= x for px, _ in pts), len(pts) - 1)
+        return (pts[k][1] - pts[k - 1][1]) / (pts[k][0] - pts[k - 1][0])
+
     def integral(self, upper: float) -> float:
         """Exact value of the integral from 0 to ``upper``."""
         if upper <= 0.0:

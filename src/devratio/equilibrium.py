@@ -1,11 +1,9 @@
 """Wardrop equilibrium computation for perceived latencies l + delta.
 
 The solver minimizes the Beckmann potential sum_a integral_0^{f_a} q_a(u) du
-(q_a = l_a + delta_a) over feasible path flows. It combines path
-equilibration (pairwise shifts between the most and least expensive active
-paths, with an exact root search on the potential derivative) with column
-generation: each round runs one shortest-path search per source, which
-certifies the equilibrium gap and supplies the next round's columns.
+(q_a = l_a + delta_a) by column generation: one shortest-path search per
+source and round certifies the gap and supplies the next columns, which
+projected Newton steps (Bertsekas 1982; Bertsekas & Gafni 1983) equilibrate.
 
 Every equilibrium shares the perceived arc costs of the solved one, so the
 worst equilibrium cost is exact: one LP over the face of equilibrium flows.
@@ -15,11 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.optimize import brentq, linprog
 from scipy.sparse import coo_array
 
-from .core import (SUPPORT_EPS, ZERO_CURVE, Arc, Deviation, Flow, Instance,
-                   Path, critical_points, social_cost)
+from .core import (SUPPORT_EPS, ZERO_CURVE, Arc, Curve, Deviation, Flow,
+                   Instance, Path, critical_points, social_cost)
 from .errors import (ConstructionFailed, InvalidConfig, InvalidInstance,
                      NonLinearFace, NonMonotonePerceived, NotConverged)
 
@@ -48,35 +47,31 @@ class EquilibriumResult:
     potential_value: float
 
 
-def perceived_cost(instance: Instance, deviation: Deviation | None,
-                   arc_id: str, x: float) -> float:
-    value = instance.arcs_by_id[arc_id].latency.eval(x)
-    if deviation is not None:
-        value += deviation.eval(arc_id, x)
-    return value
-
-
-def _perceived_terms(arc: Arc, deviation: Deviation | None) -> list:
+def _terms(instance: Instance, deviation: Deviation | None) -> dict:
+    """Each arc's perceived cost q_a = l_a + delta_a as its two curves."""
     curves = {} if deviation is None else deviation.curves
-    return [(1.0, arc.latency), (1.0, curves.get(arc.id, ZERO_CURVE))]
+    return {a.id: (a.latency, curves.get(a.id, ZERO_CURVE))
+            for a in instance.arcs}
 
 
 def check_monotone_perceived(instance: Instance,
                              deviation: Deviation | None) -> None:
-    """Reject perceived latencies that decrease or go negative on the
-    flow range [0, max(total demand, 1)]. Exact: q_a is monotone between
-    its critical points, so each is compared with the highest before it."""
+    """Reject perceived latencies that decrease or go negative on [0,
+    max(total demand, 1)]; exact, as each critical point of q_a is compared
+    with the highest before it. Instance validated undeviated latencies."""
     x_max = max(instance.total_demand, 1.0)
-    for arc in instance.arcs:
+    for arc_id, (lat, dev) in _terms(instance, deviation).items():
+        if dev == ZERO_CURVE:
+            continue
         peak = -math.inf
-        for x in critical_points(_perceived_terms(arc, deviation), x_max):
-            value = perceived_cost(instance, deviation, arc.id, x)
+        for x in critical_points([(1.0, lat), (1.0, dev)], x_max):
+            value = lat.eval(x) + dev.eval(x)
             if value < -1e-12:
                 raise NonMonotonePerceived(
-                    f"perceived latency negative on arc {arc.id!r} at x={x}")
+                    f"perceived latency negative on arc {arc_id!r} at x={x}")
             if value < peak - 1e-12:
                 raise NonMonotonePerceived(
-                    f"perceived latency decreasing on arc {arc.id!r} near x={x}")
+                    f"perceived latency decreasing on arc {arc_id!r} near x={x}")
             peak = max(peak, value)
 
 
@@ -158,12 +153,13 @@ def shortest_path(instance: Instance, costs: dict[str, float],
     return _route(instance, dist, pred, source, sink)
 
 
-def _shortest_paths(instance: Instance, costs: dict[str, float]
-                    ) -> list[tuple[Path, float]]:
-    """Each commodity's shortest path and its length, from one search per
-    distinct source; an unreachable sink raises InvalidInstance."""
-    searches = {source: _search(instance, costs, source) for source
-                in dict.fromkeys(c.source for c in instance.commodities)}
+def _shortest_paths(instance: Instance, costs: dict[str, float],
+                    searches: dict | None = None) -> list[tuple[Path, float]]:
+    """Each commodity's shortest path and its length, one search per source
+    (stored in ``searches``); an unreachable sink raises InvalidInstance."""
+    searches = {} if searches is None else searches
+    for source in dict.fromkeys(c.source for c in instance.commodities):
+        searches[source] = _search(instance, costs, source)
     found = []
     for commodity in instance.commodities:
         best = _route(instance, *searches[commodity.source],
@@ -175,28 +171,21 @@ def _shortest_paths(instance: Instance, costs: dict[str, float]
     return found
 
 
-def _arc_costs(instance: Instance, deviation: Deviation | None,
-               arc_flows: dict[str, float]) -> dict[str, float]:
+def _arc_costs(terms: dict, arc_flows: dict[str, float]) -> dict[str, float]:
     """The perceived cost of every arc at the given arc flows."""
-    return {a.id: perceived_cost(instance, deviation, a.id, arc_flows[a.id])
-            for a in instance.arcs}
+    return {a: lat.eval(arc_flows[a]) + dev.eval(arc_flows[a])
+            for a, (lat, dev) in terms.items()}
 
 
 def beckmann_potential(instance: Instance, flow: Flow,
                        deviation: Deviation | None) -> float:
-    total = 0.0
-    for arc_id, x in flow.arc_flows.items():
-        total += instance.arcs_by_id[arc_id].latency.integral(x)
-        if deviation is not None:
-            total += deviation.integral(arc_id, x)
-    return total
+    return sum(c.integral(flow.arc_flows[a])
+               for a, cs in _terms(instance, deviation).items() for c in cs)
 
 
 def _gap(instance: Instance, commodity_paths: tuple[dict[Path, float], ...],
-         costs: dict[str, float],
-         shortest: list[tuple[Path, float]]) -> float:
-    num = 0.0
-    den = 0.0
+         costs: dict[str, float], shortest: list[tuple[Path, float]]) -> float:
+    num = den = 0.0
     for commodity, paths, (_, least) in zip(instance.commodities,
                                             commodity_paths, shortest):
         avg = sum(v * sum(costs[a] for a in p) for p, v in paths.items())
@@ -208,106 +197,123 @@ def _gap(instance: Instance, commodity_paths: tuple[dict[Path, float], ...],
 def relative_gap(instance: Instance, flow: Flow,
                  deviation: Deviation | None) -> float:
     """(sum_i r_i (avg perceived_i - shortest_i)) / sum_i r_i shortest_i."""
-    costs = _arc_costs(instance, deviation, flow.arc_flows)
+    costs = _arc_costs(_terms(instance, deviation), flow.arc_flows)
     return _gap(instance, flow.commodity_paths, costs,
                 _shortest_paths(instance, costs))
 
 
-def _shift(instance: Instance, deviation: Deviation | None,
-           arc_flows: dict[str, float], costs: dict[str, float],
-           paths: dict[Path, float], p_from: Path, p_to: Path) -> None:
-    """Move flow from p_from to p_to, minimizing the potential along the
-    segment by an exact root search on its monotone derivative, and reprice
-    the arcs that moved in costs."""
-    only_to = [a for a in p_to if a not in set(p_from)]
-    only_from = [a for a in p_from if a not in set(p_to)]
-    d_max = paths[p_from]
+def _step(terms: dict, arc_flows: dict[str, float], costs: dict[str, float],
+          free: list) -> bool:
+    """Projected Newton step over ``free`` [(paths, p, r, c_p - c_r), ...]:
+    p moves at rate y_p against its reference r, (Z diag(q') Z^T + 1e-9 max
+    diag I) y = -(c_p - c_r), Z_p = p's arcs minus r's, q' = right slope; a
+    zero-flow p with y_p < 0 leaves and y is re-solved; a lone p moves at
+    -sign(c_p - c_r). A ratio test and brentq stop at the least potential
+    before a path empties. Updates arc_flows, costs; False if no descent."""
+    sides: dict[str, list] = {}  # arc -> [(row k, +1 on p_k, -1 on r_k)]
+    for k, (_, p, r, _) in enumerate(free):
+        on_p, on_r = set(p), set(r)
+        for a in p + r:
+            if s := (a in on_p) - (a in on_r):
+                sides.setdefault(a, []).append((k, s))
+    keep, y = [0], [-math.copysign(1.0, free[0][3])]
+    if len(free) > 1:
+        gram = [[0.0] * len(free) for _ in free]
+        for a, rows in sides.items():
+            w = sum(c.slope(arc_flows[a]) for c in terms[a])
+            for k, s in rows:
+                for j, t in rows:
+                    gram[k][j] += s * t * w
+        keep, kept = list(range(len(free))), None
+        while keep and keep != kept:
+            kept, reg = keep, 1e-9 * max(gram[k][k] for k in keep) or 1.0
+            y = np.linalg.solve(
+                [[gram[k][j] + reg * (k == j) for j in keep] for k in keep],
+                [-free[k][3] for k in keep]).tolist()
+            keep = [k for k, v in zip(kept, y)
+                    if v >= 0.0 or free[k][0][free[k][1]] > 0.0]
+    rates, rate = dict(zip(keep, y)), {}
+    for k, v in rates.items():
+        paths, p, r, _ = free[k]
+        rate[p] = paths, v
+        rate[r] = paths, rate.get(r, (paths, 0.0))[1] - v
+    moving = [(a, *terms[a], arc_flows[a], d) for a, rows in sides.items()
+              if (d := sum(s * rates.get(k, 0.0) for k, s in rows))]
+    t_max, stop = min(((paths[p] / -v, p) for p, (paths, v) in rate.items()
+                       if v < 0.0), default=(0.0, None))
+    if not t_max > 0.0 or not sum(costs[a] * d for a, *_, d in moving) < 0.0:
+        return False
 
-    def deriv(d: float) -> float:
-        up = sum(perceived_cost(instance, deviation, a, arc_flows[a] + d)
-                 for a in only_to)
-        down = sum(perceived_cost(instance, deviation, a, arc_flows[a] - d)
-                   for a in only_from)
-        return up - down
+    def deriv(t: float) -> float:
+        return sum((lat.eval(f + t * d) + dev.eval(f + t * d)) * d
+                   for _, lat, dev, f, d in moving)
+    t = t_max if deriv(t_max) <= 0.0 else brentq(
+        deriv, 0.0, t_max, xtol=1e-15 / max(abs(v) for _, v in rate.values()))
+    for a, lat, dev, f, d in moving:
+        arc_flows[a] = f + t * d
+        costs[a] = lat.eval(f + t * d) + dev.eval(f + t * d)
+    for p, (paths, v) in rate.items():
+        paths[p] += t * v
+        if paths[p] <= 1e-15 or (p == stop and t == t_max):
+            del paths[p]
+    return True
 
-    if deriv(d_max) <= 0.0:
-        d = d_max
-    else:
-        d = brentq(deriv, 0.0, d_max, xtol=1e-15)
-    if d <= 0.0:
-        return
-    for a in only_to:
-        arc_flows[a] += d
-    for a in only_from:
-        arc_flows[a] -= d
-    for a in only_to + only_from:
-        costs[a] = perceived_cost(instance, deviation, a, arc_flows[a])
-    paths[p_from] -= d
-    paths[p_to] = paths.get(p_to, 0.0) + d
-    for p in [p for p, v in paths.items() if v <= 1e-15]:
-        del paths[p]
+
+def _solve(instance: Instance, deviation: Deviation | None,
+           config: SolverConfig, initial_paths: list[dict[Path, float]] | None
+           ) -> tuple[EquilibriumResult, dict[str, float], dict]:
+    """``wardrop``, also returning the last round's arc costs and searches."""
+    check_monotone_perceived(instance, deviation)
+    terms, inner = _terms(instance, deviation), 1e-3 * config.relative_gap_tol
+    # an empty start takes each commodity's shortest path at zero flow
+    columns = list(map(dict, initial_paths or [{}] * len(instance.commodities)))
+    iterations, prev_potential = 0, math.inf
+    while True:
+        flow = Flow(instance, columns, check=False)
+        costs, searches = _arc_costs(terms, flow.arc_flows), {}
+        shortest = _shortest_paths(instance, costs, searches)
+        if iterations:  # so a start within tolerance is equilibrated once
+            potential = beckmann_potential(instance, flow, deviation)
+            if not potential <= prev_potential + 1e-10:
+                raise ConstructionFailed("potential increased")
+            prev_potential = potential
+            gap = _gap(instance, flow.commodity_paths, costs, shortest)
+            if gap <= config.relative_gap_tol:
+                return EquilibriumResult(Flow(instance, columns), gap,
+                                         iterations, potential), costs, searches
+            if iterations >= config.max_iterations:
+                raise NotConverged(gap, config.relative_gap_tol, iterations)
+        for c, paths, (p, _) in zip(instance.commodities, columns, shortest):
+            paths.setdefault(p, 0.0 if paths else c.demand)
+        # Newton steps, else a pair step, until carrying paths are near least
+        arc_flows, steps = dict(flow.arc_flows), 0
+        while iterations + steps < config.max_iterations:
+            free, pair = [], None
+            for paths in columns:
+                cost = {p: sum(costs[a] for a in p) for p in paths}
+                least = min(cost, key=lambda p: (cost[p], p))
+                top = max(cost, key=lambda p: (paths[p] > 0.0, cost[p], p))
+                ref = min(cost, key=lambda p: (paths[p] == 0.0, cost[p], p))
+                over = cost[top] - cost[least]
+                if pair is None and over > inner * max(abs(cost[least]), 1.0):
+                    pair = paths, top, least, over
+                free += [(paths, p, ref, cost[p] - cost[ref]) for p in paths
+                         if p != ref and (paths[p] or cost[p] <= cost[ref])]
+            if pair is None or not (_step(terms, arc_flows, costs, free) or
+                                    _step(terms, arc_flows, costs, [pair])):
+                break
+            steps += 1
+        iterations += max(steps, 1)
 
 
 def wardrop(instance: Instance, deviation: Deviation | None = None,
             config: SolverConfig = SolverConfig(),
             initial_paths: list[dict[Path, float]] | None = None
             ) -> EquilibriumResult:
-    """Equilibrium flow with certified relative gap <= the tolerance. Each
-    round prices the flow once; one search per source gives the gap and,
-    unless the gap ends the solve, each commodity's next column. The first
-    round always runs, so ``iterations`` is at least the commodity count."""
-    check_monotone_perceived(instance, deviation)
-    if initial_paths is None:
-        zero = _arc_costs(instance, deviation,
-                          dict.fromkeys(instance.arcs_by_id, 0.0))
-        columns = [{path: commodity.demand} for commodity, (path, _) in zip(
-            instance.commodities, _shortest_paths(instance, zero))]
-    else:
-        columns = [dict(paths) for paths in initial_paths]
-
-    # pair shifts keep arc_flows and costs current across rounds; each
-    # round's gap prices the path flows as Flow sums them again
-    flow = Flow(instance, columns, check=False)
-    arc_flows = dict(flow.arc_flows)
-    flow_costs = _arc_costs(instance, deviation, arc_flows)
-    costs = dict(flow_costs)
-
-    iterations = 0
-    prev_potential = math.inf
-    inner_tol = config.relative_gap_tol * 1e-3
-    while True:
-        potential = beckmann_potential(instance, flow, deviation)
-        if not potential <= prev_potential + 1e-10:
-            raise ConstructionFailed("potential increased")
-        prev_potential = potential
-        shortest = _shortest_paths(instance, flow_costs)
-        gap = _gap(instance, flow.commodity_paths, flow_costs, shortest)
-        # a start within the tolerance is still equilibrated once, to the
-        # tighter inner_tol of the pair steps
-        if iterations and gap <= config.relative_gap_tol:
-            return EquilibriumResult(Flow(instance, columns), gap,
-                                     iterations, potential)
-        if iterations >= config.max_iterations:
-            raise NotConverged(gap, config.relative_gap_tol, iterations)
-
-        for paths, (path, _) in zip(columns, shortest):
-            paths.setdefault(path, 0.0)
-            for _ in range(200):
-                iterations += 1
-                path_costs = {p: sum(costs[a] for a in p) for p in paths}
-                carrying = {p: c for p, c in path_costs.items()
-                            if paths[p] > 1e-15}
-                if not carrying:
-                    break
-                p_from = max(carrying, key=lambda p: (carrying[p], p))
-                p_to = min(path_costs, key=lambda p: (path_costs[p], p))
-                scale = max(abs(path_costs[p_to]), 1.0)
-                if carrying[p_from] - path_costs[p_to] <= inner_tol * scale:
-                    break
-                _shift(instance, deviation, arc_flows, costs, paths, p_from,
-                       p_to)
-        flow = Flow(instance, columns, check=False)
-        flow_costs = _arc_costs(instance, deviation, flow.arc_flows)
+    """Equilibrium flow with certified relative gap <= the tolerance, by
+    column generation and projected Newton steps. ``iterations`` counts the
+    steps (Newton or pair) that moved flow, and at least 1 a round."""
+    return _solve(instance, deviation, config, initial_paths)[0]
 
 
 def verify_nash(instance: Instance, flow: Flow,
@@ -315,15 +321,13 @@ def verify_nash(instance: Instance, flow: Flow,
                 eps: float = 1e-9) -> list[dict]:
     """Flow-carrying paths must be within eps of each commodity's shortest
     perceived path latency; returns the list of violations."""
-    costs = _arc_costs(instance, deviation, flow.arc_flows)
+    costs = _arc_costs(_terms(instance, deviation), flow.arc_flows)
     report = []
     for i, (paths, (_, shortest)) in enumerate(
             zip(flow.commodity_paths, _shortest_paths(instance, costs))):
         for path, value in paths.items():
-            if value <= 1e-15:
-                continue
             cost = sum(costs[a] for a in path)
-            if cost > shortest + eps:
+            if value > 1e-15 and cost > shortest + eps:
                 report.append({"commodity": i, "path": path, "flow": value,
                                "latency": cost, "shortest": shortest})
     return report
@@ -345,21 +349,18 @@ class _SparseRows:
         return coo_array((vals, (rows, cols)), shape=(len(self.rhs), n_cols))
 
 
-def _face(instance: Instance, deviation: Deviation | None, arc: Arc,
-          x: float, q: float, eps: float) -> tuple[float, float]:
-    """The interval [lo, hi] of flows in [0, total demand] on which the
-    perceived cost q_a equals q = q_a(x).
+def _face(lat: Curve, dev: Curve, total: float, x: float, q: float,
+          eps: float) -> tuple[float, float]:
+    """The interval [lo, hi] of flows in [0, total] on which the perceived
+    cost q_a = lat + dev equals q = q_a(x).
 
     q_a is non-decreasing, so the interval is a point or a plateau, whose
     ends are critical points of q_a. Plateaus no longer than the solver's
     accuracy collapse to the point x.
     """
-    total = instance.total_demand
     tol = eps * max(1.0, abs(q))
-    on = [x] + [p for p in critical_points(_perceived_terms(arc, deviation),
-                                           total)
-                if abs(perceived_cost(instance, deviation, arc.id, p) - q)
-                <= tol]
+    on = [x] + [p for p in critical_points([(1.0, lat), (1.0, dev)], total)
+                if abs(lat.eval(p) + dev.eval(p) - q) <= tol]
     lo, hi = min(on), max(on)
     if hi - lo <= eps * max(1.0, total):
         return x, x
@@ -387,13 +388,11 @@ def worst_equilibrium_cost(instance: Instance,
     Raises NonLinearFace when l_a varies on an arc's interval, or when
     arcs of zero reduced cost form a directed cycle.
     """
-    solved = wardrop(instance, deviation, config).flow
-    cost = social_cost(instance, solved)
-    eps = 10.0 * config.relative_gap_tol
-    x = solved.arc_flows
-    q_star = _arc_costs(instance, deviation, x)
-    faces = {a.id: _face(instance, deviation, a, x[a.id], q_star[a.id], eps)
-             for a in instance.arcs}
+    solution, q_star, searches = _solve(instance, deviation, config, None)
+    solved, eps = solution.flow, 10.0 * config.relative_gap_tol
+    cost, x = social_cost(instance, solved), solved.arc_flows
+    faces = {a: _face(*curves, instance.total_demand, x[a], q_star[a], eps)
+             for a, curves in _terms(instance, deviation).items()}
     if all(lo == hi for lo, hi in faces.values()):
         return cost
     levels = {}  # l_a on its interval
@@ -410,10 +409,8 @@ def worst_equilibrium_cost(instance: Instance,
     # (commodity, arc) pairs of zero reduced cost, plus the ones the solved
     # flow uses so that it stays feasible whatever the rounding
     columns: list[tuple[int, Arc]] = []
-    dists = {s: _search(instance, q_star, s)[0]
-             for s in dict.fromkeys(c.source for c in instance.commodities)}
     for i, commodity in enumerate(instance.commodities):
-        dist = dists[commodity.source]
+        dist = searches[commodity.source][0]
         tol = eps * max(1.0, dist[commodity.sink])
         carried = solved.commodity_arc_flows[i]
         tight = [a for a in instance.arcs
@@ -431,8 +428,7 @@ def worst_equilibrium_cost(instance: Instance,
         columns += [(i, a) for a in tight]
 
     conservation, capacity = _SparseRows(), _SparseRows()
-    balance: dict[tuple[int, str], list[tuple[int, float]]] = {}
-    per_arc: dict[str, list[int]] = {}
+    balance, per_arc = {}, {}  # keyed by (commodity, node) and by arc
     for col, (i, arc) in enumerate(columns):
         balance.setdefault((i, arc.tail), []).append((col, 1.0))
         balance.setdefault((i, arc.head), []).append((col, -1.0))
@@ -449,10 +445,8 @@ def worst_equilibrium_cost(instance: Instance,
         capacity.add([(col, -1.0) for col in cols], -lo)
     objective = [-levels[arc.id] for _, arc in columns]
     result = linprog(objective, A_ub=capacity.matrix(len(columns)),
-                     b_ub=capacity.rhs,
-                     A_eq=conservation.matrix(len(columns)),
-                     b_eq=conservation.rhs, bounds=(0.0, None),
-                     method="highs")
+                     b_ub=capacity.rhs, A_eq=conservation.matrix(len(columns)),
+                     b_eq=conservation.rhs, bounds=(0.0, None), method="highs")
     if result.status != 0:
         raise ConstructionFailed(
             f"equilibrium-face LP failed: {result.message}")

@@ -2,11 +2,12 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from devratio import equilibrium
 from devratio.core import (Arc, Commodity, Curve, Deviation, Flow, Instance,
-                           enumerate_paths, social_cost)
-from devratio.equilibrium import (SolverConfig, _shortest_paths,
+                           ThresholdPair, enumerate_paths, social_cost)
+from devratio.equilibrium import (SolverConfig, _gap, _shortest_paths,
                                   beckmann_potential,
                                   check_monotone_perceived, relative_gap,
                                   shortest_path, verify_nash, wardrop,
@@ -24,6 +25,79 @@ def pigou(l1: Curve, l2: Curve, demand: float = 1.0) -> Instance:
         [Arc("a1", "s", "t", l1), Arc("a2", "s", "t", l2)],
         [Commodity("s", "t", demand)],
     )
+
+
+def grid(rng: random.Random, side: int, k: int) -> tuple[Instance, Deviation]:
+    """side x side grid of right and down arcs with quadratic latencies;
+    commodity i runs from column i of the top row to column side-k+i of the
+    bottom row. Returns the instance and a deviation lambda_a * l_a."""
+    def node(r, c):
+        return f"g{r}_{c}"
+    arcs = [Arc(f"{node(r, c)}>{node(r2, c2)}", node(r, c), node(r2, c2),
+                Curve.poly([rng.uniform(1.0, 2.0), rng.uniform(0.1, 1.0),
+                            rng.uniform(0.0, 0.5)]))
+            for r in range(side) for c in range(side)
+            for r2, c2 in ((r, c + 1), (r + 1, c)) if r2 < side and c2 < side]
+    instance = Instance([node(r, c) for r in range(side) for c in range(side)],
+                        arcs, [Commodity(node(0, i), node(side - 1, side - k + i),
+                                         rng.uniform(1.0, 2.0))
+                               for i in range(k)],
+                        ThresholdPair.alpha_beta(0.0, 1.0))
+    return instance, Deviation({a.id: a.latency.scale(rng.uniform(0.0, 1.0))
+                                for a in instance.arcs})
+
+
+def pair_solver(instance: Instance, deviation: Deviation | None,
+                tol: float = 1e-12) -> Flow:
+    """The reference: the pairwise equilibration that the projected Newton
+    steps replaced. Each round adds every commodity's shortest path, then
+    moves flow from its costliest carrying path to its cheapest path, with
+    an exact root search on the potential's derivative, at most 200 times
+    per commodity."""
+    curves = {} if deviation is None else deviation.curves
+
+    def q(a, x):
+        value = instance.arcs_by_id[a].latency.eval(x)
+        return value + curves[a].eval(x) if a in curves else value
+
+    def price(arc_flows):
+        return {a: q(a, x) for a, x in arc_flows.items()}
+
+    zero = price(dict.fromkeys(instance.arcs_by_id, 0.0))
+    columns = [{path: c.demand} for c, (path, _) in zip(
+        instance.commodities, _shortest_paths(instance, zero))]
+    for _ in range(2000):
+        flow = Flow(instance, columns, check=False)
+        arc_flows, costs = dict(flow.arc_flows), price(flow.arc_flows)
+        shortest = _shortest_paths(instance, costs)
+        if _gap(instance, flow.commodity_paths, costs, shortest) <= tol:
+            return Flow(instance, columns)
+        for paths, (new, _) in zip(columns, shortest):
+            paths.setdefault(new, 0.0)
+            for _ in range(200):
+                cost = {p: sum(costs[a] for a in p) for p in paths}
+                top = max((p for p in paths if paths[p] > 1e-15),
+                          key=lambda p: (cost[p], p))
+                to = min(cost, key=lambda p: (cost[p], p))
+                if cost[top] - cost[to] <= 1e-3 * tol * max(abs(cost[to]), 1):
+                    break
+                up = [a for a in to if a not in top]
+                down = [a for a in top if a not in to]
+
+                def deriv(d):
+                    return (sum(q(a, arc_flows[a] + d) for a in up)
+                            - sum(q(a, arc_flows[a] - d) for a in down))
+
+                d = paths[top] if deriv(paths[top]) <= 0.0 else brentq(
+                    deriv, 0.0, paths[top], xtol=1e-15)
+                for a in up + down:
+                    arc_flows[a] += d if a in up else -d
+                    costs[a] = q(a, arc_flows[a])
+                paths[top] -= d
+                paths[to] += d
+                for p in [p for p, v in paths.items() if v <= 1e-15]:
+                    del paths[p]
+    raise AssertionError("the reference solver did not converge")
 
 
 class TestSolverConfig:
@@ -213,7 +287,7 @@ class TestWardrop:
 
     @pytest.mark.parametrize("deviated", [False, True])
     def test_start_at_equilibrium_runs_one_round(self, deviated):
-        # one pair step per commodity, none of which moves flow
+        # the one round counts a step and moves no flow
         case = braess(3, 1.0)
         start, deviation = (case.x, case.deviation) if deviated else (
             case.z, None)
@@ -225,9 +299,51 @@ class TestWardrop:
     def test_iteration_budget_raises_not_converged(self):
         with pytest.raises(NotConverged) as info:
             wardrop(braess(13, 1.0).instance,
-                    config=SolverConfig(max_iterations=100))
+                    config=SolverConfig(max_iterations=5))
         assert info.value.gap > info.value.tol
-        assert info.value.iterations >= 100
+        assert info.value.iterations >= 5
+
+    @pytest.mark.parametrize("deviated", [False, True])
+    def test_braess_32_converges(self, deviated):
+        case = braess(32, 1.0)
+        deviation = case.deviation if deviated else None
+        result = wardrop(case.instance, deviation)
+        assert result.relative_gap <= SolverConfig().relative_gap_tol
+        assert social_cost(case.instance, result.flow) == pytest.approx(
+            case.expected_ratio if deviated else 1.0, rel=1e-9)
+
+    def test_deviated_braess_64_costs_one_plus_m(self):
+        case = braess(64, 1.0)
+        result = wardrop(case.instance, case.deviation)
+        assert social_cost(case.instance, result.flow) == pytest.approx(
+            1.0 + 64, abs=1e-9)
+
+    @pytest.mark.parametrize("deviated", [False, True])
+    def test_grid_with_four_commodities_is_nash(self, deviated):
+        instance, deviation = grid(random.Random(8), 8, 4)
+        deviation = deviation if deviated else None
+        result = wardrop(instance, deviation)
+        assert result.relative_gap <= 1e-8
+        assert relative_gap(instance, result.flow,
+                            deviation) == result.relative_gap
+        assert verify_nash(instance, result.flow, deviation, eps=1e-7) == []
+
+    @given(st.integers(0, 10**6), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_costs_match_the_pair_solver(self, seed, on_grid):
+        rng = random.Random(seed)
+        if on_grid:
+            instance, deviation = grid(rng, rng.randint(2, 4),
+                                       rng.randint(1, 2))
+        else:
+            instance = random_common_source_instance(rng, max_nodes=7,
+                                                     max_commodities=3)
+            deviation = random_feasible_deviation(rng, instance)
+        for dev in (None, deviation):
+            result = wardrop(instance, dev)
+            assert result.iterations >= 1
+            assert social_cost(instance, result.flow) == pytest.approx(
+                social_cost(instance, pair_solver(instance, dev)), rel=1e-7)
 
     def test_tighter_tolerance_respected(self):
         inst = pigou(Curve.poly([0.0, 1.0]), Curve.poly([0.5, 1.0]))
@@ -324,6 +440,23 @@ class TestPotential:
 
 
 class TestWorstEquilibriumCost:
+    def test_face_reuses_the_solve_searches(self, monkeypatch):
+        # the face LP takes its reduced costs from the last round's searches
+        case = braess(4, 1.0)
+        calls = []
+        search = equilibrium._search
+
+        def counting(instance, costs, source):
+            calls.append(source)
+            return search(instance, costs, source)
+
+        monkeypatch.setattr(equilibrium, "_search", counting)
+        wardrop(case.instance, case.deviation)
+        alone = len(calls)
+        calls.clear()
+        worst_equilibrium_cost(case.instance, case.deviation)
+        assert len(calls) == alone > 0
+
     def test_seeded_and_deterministic(self):
         case = braess(2, 1.0)
         a = worst_equilibrium_cost(case.instance, case.deviation, seed=3)
