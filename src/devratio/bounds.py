@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import Curve
 from .errors import (DemandNotNormalized, EpsilonOutOfRange, GammaOutOfRange,
@@ -104,6 +103,7 @@ def mu_hat(query: SmoothnessQuery) -> MuHatResult:
     non-positive there; a positive numerator over a zero denominator means
     the supremum diverges.
     """
+    from scipy.optimize import minimize_scalar
     l, beta = query.latency, query.beta
     pts = np.linspace(query.domain_max / query.grid, query.domain_max,
                       query.grid)

@@ -6,7 +6,8 @@ source and round certifies the gap and supplies the next columns, which
 projected Newton steps (Bertsekas 1982; Bertsekas & Gafni 1983) equilibrate.
 
 Every equilibrium shares the perceived arc costs of the solved one, so the
-worst equilibrium cost is exact: one LP over the face of equilibrium flows.
+worst equilibrium cost is exact: one LP over the face of equilibrium flows,
+solved by the ``lp`` layer.
 """
 from __future__ import annotations
 
@@ -14,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, linprog
-from scipy.sparse import coo_array
 
+from . import lp
 from .core import (SUPPORT_EPS, ZERO_CURVE, Arc, Curve, Deviation, Flow,
                    Instance, Path, critical_points, social_cost)
 from .errors import (ConstructionFailed, InvalidConfig, InvalidInstance,
@@ -210,6 +210,7 @@ def _step(terms: dict, arc_flows: dict[str, float], costs: dict[str, float],
     zero-flow p with y_p < 0 leaves and y is re-solved; a lone p moves at
     -sign(c_p - c_r). A ratio test and brentq stop at the least potential
     before a path empties. Updates arc_flows, costs; False if no descent."""
+    from scipy.optimize import brentq
     sides: dict[str, list] = {}  # arc -> [(row k, +1 on p_k, -1 on r_k)]
     for k, (_, p, r, _) in enumerate(free):
         on_p, on_r = set(p), set(r)
@@ -279,8 +280,9 @@ def _solve(instance: Instance, deviation: Deviation | None,
             prev_potential = potential
             gap = _gap(instance, flow.commodity_paths, costs, shortest)
             if gap <= config.relative_gap_tol:
-                return EquilibriumResult(Flow(instance, columns), gap,
-                                         iterations, potential), costs, searches
+                flow._check_feasibility()  # once, on the returned flow
+                result = EquilibriumResult(flow, gap, iterations, potential)
+                return result, costs, searches
             if iterations >= config.max_iterations:
                 raise NotConverged(gap, config.relative_gap_tol, iterations)
         for c, paths, (p, _) in zip(instance.commodities, columns, shortest):
@@ -331,22 +333,6 @@ def verify_nash(instance: Instance, flow: Flow,
                 report.append({"commodity": i, "path": path, "flow": value,
                                "latency": cost, "shortest": shortest})
     return report
-
-
-class _SparseRows:
-    """Rows of a sparse LP constraint matrix, added one row at a time."""
-
-    def __init__(self):
-        self.entries: list[tuple[int, int, float]] = []  # (row, column, value)
-        self.rhs: list[float] = []
-
-    def add(self, coefs: list[tuple[int, float]], bound: float) -> None:
-        self.entries.extend((len(self.rhs), col, val) for col, val in coefs)
-        self.rhs.append(bound)
-
-    def matrix(self, n_cols: int) -> coo_array:
-        rows, cols, vals = zip(*self.entries)
-        return coo_array((vals, (rows, cols)), shape=(len(self.rhs), n_cols))
 
 
 def _face(lat: Curve, dev: Curve, total: float, x: float, q: float,
@@ -427,7 +413,7 @@ def worst_equilibrium_cost(instance: Instance,
                 "perceived cost, so flow could circulate in an equilibrium")
         columns += [(i, a) for a in tight]
 
-    conservation, capacity = _SparseRows(), _SparseRows()
+    conservation, capacity = [], []
     balance, per_arc = {}, {}  # keyed by (commodity, node) and by arc
     for col, (i, arc) in enumerate(columns):
         balance.setdefault((i, arc.tail), []).append((col, 1.0))
@@ -438,15 +424,13 @@ def worst_equilibrium_cost(instance: Instance,
             supply = (commodity.demand if node == commodity.source
                       else -commodity.demand if node == commodity.sink
                       else 0.0)
-            conservation.add(balance.get((i, node), []), supply)
+            conservation.append((balance.get((i, node), []), supply))
     for arc_id, cols in per_arc.items():
         lo, hi = faces[arc_id]
-        capacity.add([(col, 1.0) for col in cols], hi)
-        capacity.add([(col, -1.0) for col in cols], -lo)
-    objective = [-levels[arc.id] for _, arc in columns]
-    result = linprog(objective, A_ub=capacity.matrix(len(columns)),
-                     b_ub=capacity.rhs, A_eq=conservation.matrix(len(columns)),
-                     b_eq=conservation.rhs, bounds=(0.0, None), method="highs")
+        capacity.append(([(col, 1.0) for col in cols], hi))
+        capacity.append(([(col, -1.0) for col in cols], -lo))
+    result = lp.solve([-levels[arc.id] for _, arc in columns], capacity,
+                      conservation)
     if result.status != 0:
         raise ConstructionFailed(
             f"equilibrium-face LP failed: {result.message}")

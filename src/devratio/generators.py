@@ -4,15 +4,14 @@ Each generator returns the full certificate: the instance, the deviation,
 the original equilibrium z, the deviated equilibrium x, and the achieved
 ratio C(x)/C(z). Generators self-check: both flows must pass the
 equilibrium conditions and the ratio must match before a case is returned.
+The Fibonacci ladder's rung split is an LP, solved by the ``lp`` layer.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import linprog
-
+from . import lp
 from .core import (Arc, Commodity, Curve, Deviation, Flow, Instance,
                    ThresholdPair, social_cost)
 from .errors import ConstructionFailed, InvalidInstance, NoValidSplit
@@ -261,61 +260,36 @@ def fibonacci(p: int, beta: float, ramp_delta: float = 0.01) -> GeneratedCase:
     # deviated flow: commodity 1 on the detour paths T_0, T_2, T_4, ...;
     # commodity 2 on T_1, T_3, ... and the straight path. The split must
     # put at least 1 + ramp_delta on every rung.
-    t_paths_1: dict[int, tuple[str, ...]] = {
-        0: tuple(["s1>w0", "w0>w1", "w1>v1"]
-                 + [f"v{i}>v{i+1}" for i in range(1, p)] + [f"v{p}>t1"])}
-    for j in range(2, p, 2):
-        t_paths_1[j] = tuple(
-            ["s1>e", f"e>w{j}", f"w{j}>w{j+1}", f"w{j+1}>v{j+1}"]
-            + [f"v{i}>v{i+1}" for i in range(j + 1, p)] + [f"v{p}>t1"])
-    t_paths_2: dict[int, tuple[str, ...]] = {}
-    for j in range(1, p - 1, 2):
-        t_paths_2[j] = tuple(
-            [f"s2>v{j}", f"v{j}>v{j+1}", f"v{j+1}>w{j+1}"]
-            + [f"w{i}>w{i+1}" for i in range(j + 1, p)] + [f"w{p}>t2"])
-    t_paths_2[p] = p2
+    paths_1 = [tuple(["s1>w0", "w0>w1", "w1>v1"]
+                     + [f"v{i}>v{i+1}" for i in range(1, p)] + [f"v{p}>t1"])]
+    paths_1 += [tuple(["s1>e", f"e>w{j}", f"w{j}>w{j+1}", f"w{j+1}>v{j+1}"]
+                      + [f"v{i}>v{i+1}" for i in range(j + 1, p)]
+                      + [f"v{p}>t1"]) for j in range(2, p, 2)]
+    paths_2 = [tuple([f"s2>v{j}", f"v{j}>v{j+1}", f"v{j+1}>w{j+1}"]
+                     + [f"w{i}>w{i+1}" for i in range(j + 1, p)]
+                     + [f"w{p}>t2"]) for j in range(1, p - 1, 2)] + [p2]
+    columns, n_1 = paths_1 + paths_2, len(paths_1)
 
-    u_idx = sorted(t_paths_1)  # 0, 2, 4, ..., p-1
-    y_idx = sorted(t_paths_2)  # 1, 3, ..., p-2, p
-    n_vars = len(u_idx) + len(y_idx)
-    var = {("u", j): k for k, j in enumerate(u_idx)}
-    var.update({("y", j): len(u_idx) + k for k, j in enumerate(y_idx)})
-
-    # rung saturation constraints, as -flow <= -(1 + d) for linprog
-    a_ub, b_ub = [], []
-    rungs = [("w", i) for i in range(0, p, 2)] + [("v", i)
-                                                 for i in range(1, p, 2)]
-    rung_arc = {("w", i): f"w{i}>w{i+1}" for i in range(0, p, 2)}
-    rung_arc.update({("v", i): f"v{i}>v{i+1}" for i in range(1, p, 2)})
-    objective = np.zeros(n_vars)
-    for kind, i in rungs:
-        row = np.zeros(n_vars)
-        arc_id = rung_arc[(kind, i)]
-        for j, path in t_paths_1.items():
-            if arc_id in path:
-                row[var[("u", j)]] = -1.0
-        for j, path in t_paths_2.items():
-            if arc_id in path:
-                row[var[("y", j)]] = -1.0
-        a_ub.append(row)
-        # overshoot the ramp end slightly: on the flat tail the rung
-        # latency is exactly beta*F_i, immune to LP constraint residuals
-        b_ub.append(-(1.0 + d + 1e-6))
-        objective -= row * fib[max(i, 1)]  # minimize total weighted rung flow
-    a_eq = [np.zeros(n_vars), np.zeros(n_vars)]
-    for j in u_idx:
-        a_eq[0][var[("u", j)]] = 1.0
-    for j in y_idx:
-        a_eq[1][var[("y", j)]] = 1.0
-    result = linprog(objective, A_ub=np.array(a_ub), b_ub=np.array(b_ub),
-                     A_eq=np.array(a_eq), b_eq=np.array([1.0, 1.0]),
-                     bounds=[(0.0, None)] * n_vars, method="highs")
+    # rung saturation rows, as -flow <= -(1 + d); overshoot the ramp end
+    # slightly: on the flat tail the rung latency is exactly beta*F_i,
+    # immune to LP constraint residuals
+    rungs = [(f"w{i}>w{i+1}", i) for i in range(0, p, 2)] \
+        + [(f"v{i}>v{i+1}", i) for i in range(1, p, 2)]
+    saturate, objective = [], [0.0] * len(columns)
+    for arc_id, i in rungs:
+        on = [k for k, path in enumerate(columns) if arc_id in path]
+        saturate.append(([(k, -1.0) for k in on], -(1.0 + d + 1e-6)))
+        for k in on:  # minimize total weighted rung flow
+            objective[k] += fib[max(i, 1)]
+    result = lp.solve(objective, saturate, [
+        ([(k, 1.0) for k in range(n_1)], 1.0),
+        ([(k, 1.0) for k in range(n_1, len(columns))], 1.0)])
     if not result.success:
         raise NoValidSplit(
             f"no split saturates every rung at 1 + {d}: {result.message}")
 
-    x1 = {t_paths_1[j]: float(result.x[var[("u", j)]]) for j in u_idx}
-    x2 = {t_paths_2[j]: float(result.x[var[("y", j)]]) for j in y_idx}
+    x1 = {path: float(v) for path, v in zip(paths_1, result.x)}
+    x2 = {path: float(v) for path, v in zip(paths_2, result.x[n_1:])}
     x = Flow(instance, [x1, x2])
     expected = social_cost(instance, x) / social_cost(instance, z)
     if expected < 1.0 + beta * fib[p + 1] - 1e-9:

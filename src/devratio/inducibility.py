@@ -9,17 +9,16 @@ inducing deviation. Both come from one search from the common source with
 the Bellman-Ford kernel that the equilibrium solver uses. With several
 sources the cycle test fails (remark B1); the oracle decides inducibility
 there by an exact margin LP over per-arc deviation values and
-per-commodity potentials, for any number of sources.
+per-commodity potentials, for any number of sources, solved by ``lp``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import linprog
-
+from . import lp
 from .core import SUPPORT_EPS, Curve, Deviation, Flow, Instance
-from .equilibrium import _bellman_ford, _SparseRows, verify_nash
+from .equilibrium import _bellman_ford, verify_nash
 from .errors import (ConstructionFailed, InvalidInstance, NotCommonSource,
                      NotInducible)
 
@@ -215,25 +214,25 @@ def oracle_inducible(instance: Instance, flow: Flow) -> OracleResult:
     arc_index = {a.id: j for j, a in enumerate(arcs)}
     n_vars = n_arcs + n_nodes * len(instance.commodities) + 1
     base, lows, highs = zip(*_arc_table(instance, flow).values())
-    rows = _SparseRows()
+    rows = []
     for i, (commodity, paths) in enumerate(zip(instance.commodities,
                                                flow.commodity_paths)):
         pi = n_arcs + i * n_nodes
         for j, arc in enumerate(arcs):
-            rows.add([(pi + node_index[arc.head], 1.0),
-                      (pi + node_index[arc.tail], -1.0), (j, -1.0)], base[j])
+            rows.append(([(pi + node_index[arc.head], 1.0),
+                          (pi + node_index[arc.tail], -1.0), (j, -1.0)],
+                         base[j]))
         for path, value in paths.items():
             if value > SUPPORT_EPS:
-                rows.add([(arc_index[a], 1.0) for a in path]
-                         + [(pi + node_index[commodity.sink], -1.0),
-                            (pi + node_index[commodity.source], 1.0),
-                            (n_vars - 1, -1.0)],
-                         -sum(base[arc_index[a]] for a in path))
+                rows.append(([(arc_index[a], 1.0) for a in path]
+                             + [(pi + node_index[commodity.sink], -1.0),
+                                (pi + node_index[commodity.source], 1.0),
+                                (n_vars - 1, -1.0)],
+                             -sum(base[arc_index[a]] for a in path)))
     bounds = (list(zip(lows, highs))
               + [(None, None)] * (n_vars - n_arcs - 1) + [(0.0, None)])
     cost = [0.0] * (n_vars - 1) + [1.0]
-    result = linprog(cost, A_ub=rows.matrix(n_vars), b_ub=rows.rhs,
-                     bounds=bounds, method="highs")
+    result = lp.solve(cost, rows, bounds=bounds)
     if result.status != 0:
         raise ConstructionFailed(f"margin LP failed: {result.message}")
     delta = {a.id: min(max(float(v), lo), hi)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -375,3 +378,15 @@ class TestReproduce:
         rows = out.read_text().strip().splitlines()[1:]
         assert len(rows) == 10
         assert all(row.endswith(",1") for row in rows)
+
+
+def test_import_loads_no_scipy():
+    # every CLI call is a fresh process; scipy loads only when an LP, a
+    # line search or mu_hat first needs it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); "
+            "import devratio, devratio.cli; "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

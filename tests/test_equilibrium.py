@@ -285,6 +285,32 @@ class TestWardrop:
         assert len(calls) > 2
         assert all(a != b for a, b in zip(calls, calls[1:]))
 
+    def test_one_flow_per_round_and_one_check(self, monkeypatch):
+        # the converged round's flow is the result, checked once
+        rounds, built, checked = [], [], []
+        priced, init = equilibrium._shortest_paths, Flow.__init__
+        check = Flow._check_feasibility
+
+        def counting_rounds(*args, **kwargs):
+            rounds.append(1)
+            return priced(*args, **kwargs)
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        def counting_check(self):
+            checked.append(1)
+            check(self)
+
+        monkeypatch.setattr(equilibrium, "_shortest_paths", counting_rounds)
+        monkeypatch.setattr(Flow, "__init__", counting_init)
+        monkeypatch.setattr(Flow, "_check_feasibility", counting_check)
+        result = wardrop(pigou(Curve.poly([0.0, 1.0]), Curve.poly([0.5, 1.0])))
+        assert len(rounds) == len(built) == 3
+        assert len(checked) == 1
+        assert result.flow.arc_flow("a1") == pytest.approx(0.75, abs=1e-7)
+
     @pytest.mark.parametrize("deviated", [False, True])
     def test_start_at_equilibrium_runs_one_round(self, deviated):
         # the one round counts a step and moves no flow

@@ -2,7 +2,7 @@ import pytest
 
 from devratio.core import Curve, social_cost, validate_deviation
 from devratio.equilibrium import verify_nash, worst_equilibrium_cost
-from devratio.errors import InvalidInstance
+from devratio.errors import InvalidInstance, NoValidSplit
 from devratio.generators import (braess, braess_even, braess_odd, fibonacci,
                                  hamiltonian_reduction,
                                  remark_b1_counterexample, smoothness_tight,
@@ -122,6 +122,12 @@ class TestFibonacci:
                 fibonacci(bad, 1.0)
         with pytest.raises(InvalidInstance):
             fibonacci(3, 1.0, ramp_delta=0.0)
+
+    def test_unsaturable_rungs_raise_no_valid_split(self):
+        # at p = 3 the three rungs' loads sum to at most 4, short of the
+        # 3 * (1 + 0.5) they need, so the split LP is infeasible
+        with pytest.raises(NoValidSplit, match="no split saturates"):
+            fibonacci(3, 1.0, ramp_delta=0.5)
 
     def test_exponential_growth(self):
         r3 = fibonacci(3, 1.0).expected_ratio
