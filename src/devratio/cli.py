@@ -1,13 +1,12 @@
 """Command-line interface: generate instances, solve equilibria, check
 inducibility, evaluate bounds, and reproduce result tables as CSV.
 
-Exit codes: 0 success, 2 usage error, 3 domain error, 4 solver did not
-converge.
+Exit codes: 0 success, 2 usage error (a bad option value included), 3
+domain error, 4 solver did not converge.
 """
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import random
 import sys
@@ -21,28 +20,13 @@ from .alternating import bound_alpha_beta, build_alt_path_tree
 from .core import Curve, Deviation, Flow, Instance, social_cost
 from .equilibrium import SolverConfig, wardrop, worst_equilibrium_cost
 from .errors import (DevRatioError, InvalidConfig, InvalidInstance,
-                     NotConverged, NotCommonSource)
+                     NotConverged)
 from .generators import _fibonacci_numbers
 from .inducibility import is_inducible, recover_deviation
 
 
 def _fmt(value: float) -> str:
     return f"{value:.12g}"
-
-
-def domain_errors(func):
-    """Map domain exceptions to the documented exit codes."""
-    @functools.wraps(func)
-    def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except NotConverged as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(4)
-        except DevRatioError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
-    return wrapper
 
 
 def _load_json(path: str, what: str, build):
@@ -69,15 +53,51 @@ def _solver_config(tol: float) -> SolverConfig:
         raise click.UsageError(f"--tol: {exc}")
 
 
-def _parse_poly(text: str) -> Curve:
-    return Curve.poly([float(c) for c in text.split(",")])
+class _ListOf(click.ParamType):
+    """Comma-separated values, each read by ``item``, all passed to
+    ``build``; an empty item or a ValueError from either is a usage error
+    naming the option."""
+    name = "list"
+
+    def __init__(self, item, build=list):
+        self.item, self.build = item, build
+
+    def convert(self, value, param, ctx):
+        try:
+            items = value.split(",")
+            if "" in items:
+                raise ValueError(f"empty item in {value!r}")
+            return self.build([self.item(v) for v in items])
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(c) for c in text.split(",")]
+def _pair(sep: str, item=float):
+    """Reader of one ``a<sep>b`` item as the tuple (item(a), item(b))."""
+    def read(text: str) -> tuple:
+        parts = text.split(sep)
+        if len(parts) != 2:
+            raise ValueError(f"{text!r} is not of the form a{sep}b")
+        return tuple(map(item, parts))
+    return read
 
 
-@click.group()
+_FLOATS, _POLY = _ListOf(float), _ListOf(float, Curve.poly)
+
+
+class _Boundary(click.Group):
+    """The CLI's one domain-error boundary: NotConverged exits 4 and any
+    other DevRatioError 3, with ``error: <message>`` on stderr."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except DevRatioError as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(4 if isinstance(exc, NotConverged) else 3)
+
+
+@click.group(cls=_Boundary)
 def main() -> None:
     """Selfish routing under bounded latency deviations."""
 
@@ -95,9 +115,11 @@ def main() -> None:
 @click.option("--p", type=int, default=3)
 @click.option("--ramp-delta", type=float, default=0.01)
 @click.option("--epsilon", type=float, default=0.25)
-@click.option("--poly", default="0,1", help="latency coefficients c0,c1,...")
-@click.option("--nodes", default="", help="comma-separated node ids")
-@click.option("--arcs", default="", help="comma-separated tail>head pairs")
+@click.option("--poly", type=_POLY, default="0,1",
+              help="latency coefficients c0,c1,...")
+@click.option("--nodes", type=_ListOf(str), help="comma-separated node ids")
+@click.option("--arcs", type=_ListOf(_pair(">", str)),
+              help="comma-separated tail>head pairs")
 @click.option("--source", default="")
 @click.option("--sink", default="")
 @click.option("--out", type=click.Path(), required=True)
@@ -117,8 +139,7 @@ def generate(family, m, beta, r, p, ramp_delta, epsilon, poly, nodes, arcs,
         elif family == "fibonacci":
             case = generators.fibonacci(p, beta, ramp_delta)
         elif family == "smoothness-tight":
-            pair = generators.smoothness_tight(_parse_poly(poly), beta, r,
-                                               epsilon)
+            pair = generators.smoothness_tight(poly, beta, r, epsilon)
             instance = pair.instance
             sidecar = {
                 "family": family,
@@ -129,13 +150,11 @@ def generate(family, m, beta, r, p, ramp_delta, epsilon, poly, nodes, arcs,
             }
             case = None
         elif family == "ham-reduction":
-            node_list = [n for n in nodes.split(",") if n]
-            arc_pairs = [tuple(a.split(">")) for a in arcs.split(",") if a]
-            if not node_list or not arc_pairs or not source or not sink:
+            if not nodes or not arcs or not source or not sink:
                 raise InvalidInstance(
                     "ham-reduction needs --nodes, --arcs, --source, --sink")
             instance = generators.hamiltonian_reduction(
-                node_list, arc_pairs, source, sink)
+                nodes, arcs, source, sink)
             sidecar = {"family": family}
             case = None
         else:  # remark-b1
@@ -170,7 +189,6 @@ def generate(family, m, beta, r, p, ramp_delta, epsilon, poly, nodes, arcs,
 @click.option("--deviation", "deviation_path", type=click.Path(exists=True))
 @click.option("--tol", type=float, default=1e-8)
 @click.option("--out", type=click.Path(), default=None)
-@domain_errors
 def solve(instance_path, deviation_path, tol, out) -> None:
     """Compute an equilibrium flow and print its cost and gap."""
     config = _solver_config(tol)
@@ -196,20 +214,12 @@ def solve(instance_path, deviation_path, tol, out) -> None:
 @click.argument("flow_path", type=click.Path(exists=True))
 @click.option("--out", type=click.Path(), default=None,
               help="write the recovered deviation JSON here")
-@domain_errors
 def induce(instance_path, flow_path, out) -> None:
     """Decide inducibility; emit a deviation or a witness cycle."""
     instance = _load_instance(instance_path)
     flow = _load_json(flow_path, "flow",
                       lambda spec: Flow.from_json(instance, spec))
-    try:
-        verdict = is_inducible(instance, flow)
-    except NotCommonSource as exc:
-        click.echo(
-            "error: this check needs a single common source; with several "
-            "sources a flow can be inducible even though the auxiliary "
-            f"graph has a negative cycle ({exc})", err=True)
-        sys.exit(3)
+    verdict = is_inducible(instance, flow)
     if verdict.inducible:
         deviation = recover_deviation(instance, flow)
         click.echo("inducible")
@@ -239,7 +249,6 @@ def bound() -> None:
 @click.option("--beta", type=float, required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--r", type=float, default=1.0)
-@domain_errors
 def bound_dr(alpha, beta, n, r) -> None:
     _, coarse = bound_alpha_beta(alpha, beta, [0], [r], n)
     click.echo(_fmt(coarse))
@@ -255,7 +264,6 @@ def bound_dr(alpha, beta, n, r) -> None:
 @click.option("--kappa", type=float, required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--r", type=float, default=1.0)
-@domain_errors
 def bound_pra(gamma, kappa, n, r) -> None:
     click.echo(_fmt(bounds_mod.pra_bound(gamma, kappa, n, r)))
 
@@ -265,7 +273,6 @@ def bound_pra(gamma, kappa, n, r) -> None:
 @click.option("--kappa", type=float, required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--r", type=float, default=1.0)
-@domain_errors
 def bound_pra_even(gamma, kappa, n, r) -> None:
     click.echo(_fmt(bounds_mod.pra_lower_even(gamma, kappa, n, r)))
 
@@ -274,28 +281,22 @@ def bound_pra_even(gamma, kappa, n, r) -> None:
 @click.option("--epsilon", type=float, required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--r", type=float, default=1.0)
-@domain_errors
 def bound_stability(epsilon, n, r) -> None:
     click.echo(_fmt(bounds_mod.stability_bound(epsilon, n, r)))
 
 
 @bound.command("mu-hat")
-@click.option("--poly", default=None, help="latency coefficients c0,c1,...")
-@click.option("--pwl", default=None, help="breakpoints x:y,x:y,...")
+@click.option("--poly", type=_POLY, help="latency coefficients c0,c1,...")
+@click.option("--pwl", type=_ListOf(_pair(":"), Curve.pwl),
+              help="breakpoints x:y,x:y,...")
 @click.option("--beta", type=float, default=0.0)
 @click.option("--domain-max", type=float, default=10.0)
 @click.option("--grid", type=int, default=512)
-@domain_errors
 def bound_mu_hat(poly, pwl, beta, domain_max, grid) -> None:
     if (poly is None) == (pwl is None):
         raise click.UsageError("give exactly one of --poly or --pwl")
-    if poly is not None:
-        latency = _parse_poly(poly)
-    else:
-        latency = Curve.pwl([tuple(map(float, p.split(":")))
-                             for p in pwl.split(",")])
     result = bounds_mod.mu_hat(bounds_mod.SmoothnessQuery(
-        latency, beta, domain_max, grid))
+        poly or pwl, beta, domain_max, grid))
     click.echo(_fmt(result.value))
     if result.boundary:
         click.echo("note: maximum attained on the domain boundary; the "
@@ -305,7 +306,6 @@ def bound_mu_hat(poly, pwl, beta, domain_max, grid) -> None:
 @bound.command("bpoa")
 @click.option("--mu", type=float, required=True)
 @click.option("--beta", type=float, required=True)
-@domain_errors
 def bound_bpoa(mu, beta) -> None:
     click.echo(_fmt(bounds_mod.bpoa_bound(mu, beta)))
 
@@ -313,7 +313,6 @@ def bound_bpoa(mu, beta) -> None:
 @bound.command("path-dev")
 @click.option("--mu0", type=float, required=True)
 @click.option("--beta", type=float, required=True)
-@domain_errors
 def bound_path_dev(mu0, beta) -> None:
     click.echo(_fmt(bounds_mod.path_deviation_bound(mu0, beta)))
 
@@ -321,19 +320,18 @@ def bound_path_dev(mu0, beta) -> None:
 @bound.command("gap")
 @click.option("--mu", type=float, required=True)
 @click.option("--beta", type=float, required=True)
-@domain_errors
 def bound_gap(mu, beta) -> None:
     click.echo(_fmt(bounds_mod.bpoa_dr_gap(mu, beta)))
 
 
 @bound.command("hetero")
-@click.option("--taus", required=True, help="comma-separated risk factors")
-@click.option("--demands", required=True, help="comma-separated demands")
+@click.option("--taus", type=_FLOATS, required=True,
+              help="comma-separated risk factors")
+@click.option("--demands", type=_FLOATS, required=True,
+              help="comma-separated demands")
 @click.option("--beta", type=float, required=True)
-@domain_errors
 def bound_hetero(taus, demands, beta) -> None:
-    click.echo(_fmt(bounds_mod.heterogeneous_bound(
-        _parse_floats(taus), _parse_floats(demands), beta)))
+    click.echo(_fmt(bounds_mod.heterogeneous_bound(taus, demands, beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +339,11 @@ def bound_hetero(taus, demands, beta) -> None:
 # ---------------------------------------------------------------------------
 @main.command()
 @click.argument("instance_path", type=click.Path(exists=True))
-@click.option("--lambda-grid", type=int, default=4)
+@click.option("--lambda-grid", type=click.IntRange(min=1), default=4)
 @click.option("--tol", type=float, default=1e-8)
 @click.option("--seed", type=int, required=True,
               help="unused: the search is deterministic")
 @click.option("--dump-grid", type=click.Path(), default=None)
-@domain_errors
 def ratio(instance_path, lambda_grid, tol, seed, dump_grid) -> None:
     """Empirical deviation ratio from a lambda-grid search."""
     config = _solver_config(tol)
@@ -376,7 +373,6 @@ def ratio(instance_path, lambda_grid, tol, seed, dump_grid) -> None:
 @click.option("--seed", type=int, default=None)
 @click.option("--count", type=int, default=100,
               help="instances in the dominance sweep")
-@domain_errors
 def reproduce(target, out, seed, count) -> None:
     """Regenerate a result table as CSV."""
     rows: list[list] = []

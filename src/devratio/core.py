@@ -465,14 +465,10 @@ class Flow:
         if check:
             self._check_feasibility()
         self.arc_flows: dict[str, float] = {a.id: 0.0 for a in instance.arcs}
-        self.commodity_arc_flows: list[dict[str, float]] = []
         for paths in self.commodity_paths:
-            per_arc = {a.id: 0.0 for a in instance.arcs}
             for path, value in paths.items():
                 for arc_id in path:
-                    per_arc[arc_id] += value
                     self.arc_flows[arc_id] += value
-            self.commodity_arc_flows.append(per_arc)
 
     def _check_feasibility(self) -> None:
         for commodity, paths in zip(self.instance.commodities, self.commodity_paths):
@@ -498,9 +494,6 @@ class Flow:
 
     def support(self) -> set[str]:
         return {a for a, v in self.arc_flows.items() if v > SUPPORT_EPS}
-
-    def commodity_support(self, i: int) -> set[str]:
-        return {a for a, v in self.commodity_arc_flows[i].items() if v > SUPPORT_EPS}
 
     def to_json(self) -> dict:
         return {

@@ -287,22 +287,19 @@ def _solve(instance: Instance, deviation: Deviation | None,
                 raise NotConverged(gap, config.relative_gap_tol, iterations)
         for c, paths, (p, _) in zip(instance.commodities, columns, shortest):
             paths.setdefault(p, 0.0 if paths else c.demand)
-        # Newton steps, else a pair step, until carrying paths are near least
+        # Newton steps until every carrying path is near its commodity's least
         arc_flows, steps = dict(flow.arc_flows), 0
         while iterations + steps < config.max_iterations:
-            free, pair = [], None
+            free, ahead = [], False
             for paths in columns:
                 cost = {p: sum(costs[a] for a in p) for p in paths}
-                least = min(cost, key=lambda p: (cost[p], p))
-                top = max(cost, key=lambda p: (paths[p] > 0.0, cost[p], p))
+                least = min(cost.values())
+                top = max(cost[p] for p in paths if paths[p] > 0.0)
                 ref = min(cost, key=lambda p: (paths[p] == 0.0, cost[p], p))
-                over = cost[top] - cost[least]
-                if pair is None and over > inner * max(abs(cost[least]), 1.0):
-                    pair = paths, top, least, over
+                ahead = ahead or top - least > inner * max(abs(least), 1.0)
                 free += [(paths, p, ref, cost[p] - cost[ref]) for p in paths
                          if p != ref and (paths[p] or cost[p] <= cost[ref])]
-            if pair is None or not (_step(terms, arc_flows, costs, free) or
-                                    _step(terms, arc_flows, costs, [pair])):
+            if not ahead or not _step(terms, arc_flows, costs, free):
                 break
             steps += 1
         iterations += max(steps, 1)
@@ -314,7 +311,7 @@ def wardrop(instance: Instance, deviation: Deviation | None = None,
             ) -> EquilibriumResult:
     """Equilibrium flow with certified relative gap <= the tolerance, by
     column generation and projected Newton steps. ``iterations`` counts the
-    steps (Newton or pair) that moved flow, and at least 1 a round."""
+    Newton steps that moved flow, and at least 1 a round."""
     return _solve(instance, deviation, config, initial_paths)[0]
 
 
@@ -398,7 +395,10 @@ def worst_equilibrium_cost(instance: Instance,
     for i, commodity in enumerate(instance.commodities):
         dist = searches[commodity.source][0]
         tol = eps * max(1.0, dist[commodity.sink])
-        carried = solved.commodity_arc_flows[i]
+        carried = dict.fromkeys(x, 0.0)  # commodity i's arc flows
+        for path, value in solved.commodity_paths[i].items():
+            for arc_id in path:
+                carried[arc_id] += value
         tight = [a for a in instance.arcs
                  if faces[a.id][1] > SUPPORT_EPS
                  and math.isfinite(dist[a.tail])

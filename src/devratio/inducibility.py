@@ -105,9 +105,9 @@ def _aux_search(instance: Instance, flow: Flow
     None, and the per-arc table the graph was built from."""
     if not instance.common_source:
         raise NotCommonSource(
-            "inducibility via the negative-cycle test needs a common source; "
-            "multi-source instances admit inducible flows whose auxiliary "
-            "graph still has a negative cycle")
+            "the negative-cycle test needs a single common source; with "
+            "several sources a flow can be inducible even though its "
+            "auxiliary graph has a negative cycle")
     table = _arc_table(instance, flow)
     graph = _aux_graph(instance, flow, table)
     init = dict.fromkeys(graph.nodes, math.inf)

@@ -380,6 +380,36 @@ class TestReproduce:
         assert all(row.endswith(",1") for row in rows)
 
 
+@pytest.mark.parametrize("args, code, named", [
+    (["generate", "fibonacci", "--p", "3", "--ramp-delta", "0.5", "--out",
+      "{out}"], 3, "error: no split saturates every rung"),
+    (["generate", "smoothness-tight", "--poly", "a,b", "--out", "{out}"], 2,
+     "'--poly'"),
+    (["bound", "hetero", "--taus", "a", "--demands", "1", "--beta", "1"], 2,
+     "'--taus'"),
+    (["bound", "mu-hat", "--pwl", "1"], 2, "'--pwl'"),
+    (["bound", "mu-hat", "--pwl", "2:1,1:2"], 2, "'--pwl'"),
+    (["generate", "ham-reduction", "--nodes", "s,a,t", "--arcs", "s-a",
+      "--source", "s", "--sink", "t", "--out", "{out}"], 2, "'--arcs'"),
+    (["generate", "ham-reduction", "--nodes", "s,,t", "--arcs", "s>t",
+      "--source", "s", "--sink", "t", "--out", "{out}"], 2, "'--nodes'"),
+    (["ratio", "{instance}", "--seed", "0", "--lambda-grid", "0"], 2,
+     "'--lambda-grid'"),
+    (["ratio", "{instance}", "--seed", "0", "--lambda-grid", "-2"], 2,
+     "'--lambda-grid'")], ids=["no-split", "poly", "taus", "pwl-point",
+                               "pwl-order", "arcs", "nodes-empty", "grid-0",
+                               "grid-neg"])
+def test_bad_input_exits_with_a_message(runner, tmp_path, args, code, named):
+    # all but nodes-empty ended in a traceback and exit 1, or in the ratio
+    # of a one-point grid and exit 0; an empty node id was dropped
+    instance = gen(runner, tmp_path, "braess", "--m", "2")
+    args = [a.format(out=tmp_path / "out.json", instance=instance)
+            for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == code
+    assert named in result.output
+
+
 def test_import_loads_no_scipy():
     # every CLI call is a fresh process; scipy loads only when an LP, a
     # line search or mu_hat first needs it

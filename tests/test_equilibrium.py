@@ -14,7 +14,7 @@ from devratio.equilibrium import (SolverConfig, _gap, _shortest_paths,
                                   worst_equilibrium_cost)
 from devratio.errors import (InvalidConfig, InvalidInstance, NonLinearFace,
                              NonMonotonePerceived, NotConverged)
-from devratio.generators import braess
+from devratio.generators import braess, fibonacci
 from devratio.search import (random_common_source_instance,
                              random_feasible_deviation)
 
@@ -370,6 +370,24 @@ class TestWardrop:
             assert result.iterations >= 1
             assert social_cost(instance, result.flow) == pytest.approx(
                 social_cost(instance, pair_solver(instance, dev)), rel=1e-7)
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("deviated", [False, True])
+    def test_fibonacci_ladder_matches_the_pair_solver(self, p, deviated):
+        # the flat rungs make the equilibria non-unique (p = 5 deviated
+        # costs 9.877 here and 9.944 from the pair solver), so the
+        # potentials are compared, not the costs
+        case = fibonacci(p, 1.0)
+        deviation = case.deviation if deviated else None
+        result = wardrop(case.instance, deviation,
+                         SolverConfig(max_iterations=2000))
+        assert result.relative_gap <= 1e-8
+        assert verify_nash(case.instance, result.flow, deviation,
+                           eps=1e-7) == []
+        reference = pair_solver(case.instance, deviation)
+        assert result.potential_value == pytest.approx(
+            beckmann_potential(case.instance, reference, deviation),
+            rel=1e-9)
 
     def test_tighter_tolerance_respected(self):
         inst = pigou(Curve.poly([0.0, 1.0]), Curve.poly([0.5, 1.0]))
