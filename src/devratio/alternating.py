@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
-from .core import SUPPORT_EPS, Flow, Instance, social_cost
+from .core import SUPPORT_EPS, Flow, Instance, _dot, social_cost
 from .errors import (AlphaOutOfRange, ConstructionFailed, InvalidInstance,
                      NotCommonSource)
 
@@ -58,30 +59,17 @@ class AltPathTree:
     partition: XZPartition
 
     def to_dot(self, instance: Instance) -> str:
-        lines = ["digraph alt_tree {"]
-        for node, (arc_id, orientation) in sorted(self.parent.items()):
-            arc = instance.arcs_by_id.get(arc_id)
-            if arc is None:
-                continue
-            style = "solid" if orientation == Z_FORWARD else "dashed"
-            lines.append(f'  "{arc.tail}" -> "{arc.head}" '
-                         f'[label="{arc_id}", style={style}];')
-        lines.append("}")
-        return "\n".join(lines)
+        arcs = [(instance.arcs_by_id[a], o) for _, (a, o) in sorted(
+            self.parent.items())]
+        return _dot("alt_tree", [], [
+            (a.tail, a.head, f'label="{a.id}", style='
+             + ("solid" if o == Z_FORWARD else "dashed")) for a, o in arcs])
 
 
 def count_segments(path: tuple[tuple[str, str], ...]) -> int:
     """Number of maximal runs of consecutive Z-forward arcs."""
-    count = 0
-    in_run = False
-    for _, orientation in path:
-        if orientation == Z_FORWARD:
-            if not in_run:
-                count += 1
-            in_run = True
-        else:
-            in_run = False
-    return count
+    runs = groupby(orientation == Z_FORWARD for _, orientation in path)
+    return sum(forward for forward, _ in runs)
 
 
 def build_alt_path_tree(instance: Instance, x: Flow, z: Flow) -> AltPathTree:

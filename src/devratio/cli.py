@@ -129,6 +129,7 @@ def generate(family, m, beta, r, p, ramp_delta, epsilon, poly, nodes, arcs,
              source, sink, out, dot) -> None:
     """Write an instance JSON plus a sidecar with flows and deviation."""
     sidecar: dict | None = None
+    case = None
     try:
         if family == "braess":
             case = generators.braess(m, beta)
@@ -148,7 +149,6 @@ def generate(family, m, beta, r, p, ramp_delta, epsilon, poly, nodes, arcs,
                 "x": pair.x.to_json(),
                 "z_star": pair.z_star.to_json(),
             }
-            case = None
         elif family == "ham-reduction":
             if not nodes or not arcs or not source or not sink:
                 raise InvalidInstance(
@@ -156,11 +156,9 @@ def generate(family, m, beta, r, p, ramp_delta, epsilon, poly, nodes, arcs,
             instance = generators.hamiltonian_reduction(
                 nodes, arcs, source, sink)
             sidecar = {"family": family}
-            case = None
         else:  # remark-b1
             instance, flow = generators.remark_b1_counterexample()
             sidecar = {"family": family, "flow": flow.to_json()}
-            case = None
     except InvalidInstance as exc:
         raise click.UsageError(str(exc))
     if case is not None:

@@ -7,12 +7,13 @@ sort by id so that runs are reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from numpy.polynomial.polynomial import polyroots
 
-from .errors import InvalidInstance, PathExplosion
+from .errors import InvalidInstance, NotCommonSource, PathExplosion
 
 #: Arc flows below this value are treated as zero (support cutoff).
 SUPPORT_EPS = 1e-10
@@ -39,6 +40,11 @@ class Curve:
 
     kind: str  # "poly" | "pwl"
     data: tuple
+
+    def __post_init__(self):
+        numbers = self.data if self.kind == "poly" else sum(self.data, ())
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError(f"curve numbers must be finite: {self.data}")
 
     @classmethod
     def poly(cls, coefficients: Sequence[float]) -> "Curve":
@@ -335,7 +341,6 @@ class Instance:
     @property
     def source(self) -> str:
         if not self.common_source:
-            from .errors import NotCommonSource
             raise NotCommonSource("instance has multiple sources")
         return self.commodities[0].source
 
@@ -398,16 +403,17 @@ class Instance:
         return cls(spec["nodes"], arcs, commodities, thresholds)
 
     def to_dot(self) -> str:
-        lines = ["digraph instance {"]
-        for node in self.nodes:
-            lines.append(f'  "{node}";')
-        for arc in self.arcs:
-            label = json.dumps(arc.latency.to_json())
-            label = label.replace('"', r"\"")
-            lines.append(f'  "{arc.tail}" -> "{arc.head}" '
-                         f'[label="{arc.id}: {label}"];')
-        lines.append("}")
-        return "\n".join(lines)
+        return _dot("instance", self.nodes, [
+            (a.tail, a.head, 'label="{}: {}"'.format(a.id, json.dumps(
+                a.latency.to_json()).replace('"', r'\"'))) for a in self.arcs])
+
+
+def _dot(name: str, nodes: Sequence[str], edges) -> str:
+    """DOT text of the digraph ``name`` with ``edges`` [(tail, head,
+    attributes), ...]."""
+    return "\n".join([f"digraph {name} {{", *(f'  "{v}";' for v in nodes),
+                      *(f'  "{t}" -> "{h}" [{a}];' for t, h, a in edges),
+                      "}"])
 
 
 # ---------------------------------------------------------------------------
@@ -430,10 +436,6 @@ class Deviation:
     def eval(self, arc_id: str, x: float) -> float:
         curve = self.curves.get(arc_id)
         return curve.eval(x) if curve is not None else 0.0
-
-    def integral(self, arc_id: str, upper: float) -> float:
-        curve = self.curves.get(arc_id)
-        return curve.integral(upper) if curve is not None else 0.0
 
     def to_json(self) -> dict:
         return {"arcs": {a: c.to_json() for a, c in self.curves.items()}}

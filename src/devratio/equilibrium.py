@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from . import lp
 from .core import (SUPPORT_EPS, ZERO_CURVE, Arc, Curve, Deviation, Flow,
-                   Instance, Path, critical_points, social_cost)
+                   Instance, Path, _value_and_slope, critical_points,
+                   social_cost)
 from .errors import (ConstructionFailed, InvalidConfig, InvalidInstance,
                      NonLinearFace, NonMonotonePerceived, NotConverged)
 
@@ -133,26 +135,6 @@ def _search(instance: Instance, costs: dict[str, float], source: str
     return dist, pred
 
 
-def _route(instance: Instance, dist: dict[str, float], pred: dict[str, int],
-           source: str, sink: str) -> tuple[Path, float] | None:
-    if not math.isfinite(dist[sink]):
-        return None
-    path: list[str] = []
-    node = sink
-    while node != source:
-        arc = instance.arcs[pred[node]]
-        path.append(arc.id)
-        node = arc.tail
-    return tuple(reversed(path)), dist[sink]
-
-
-def shortest_path(instance: Instance, costs: dict[str, float],
-                  source: str, sink: str) -> tuple[Path, float] | None:
-    """Deterministic Bellman-Ford; ties broken by arc-id relaxation order."""
-    dist, pred = _search(instance, costs, source)
-    return _route(instance, dist, pred, source, sink)
-
-
 def _shortest_paths(instance: Instance, costs: dict[str, float],
                     searches: dict | None = None) -> list[tuple[Path, float]]:
     """Each commodity's shortest path and its length, one search per source
@@ -162,12 +144,15 @@ def _shortest_paths(instance: Instance, costs: dict[str, float],
         searches[source] = _search(instance, costs, source)
     found = []
     for commodity in instance.commodities:
-        best = _route(instance, *searches[commodity.source],
-                      commodity.source, commodity.sink)
-        if best is None:
-            raise InvalidInstance(f"sink {commodity.sink!r} unreachable "
+        (dist, pred), node = searches[commodity.source], commodity.sink
+        if not math.isfinite(dist[node]):
+            raise InvalidInstance(f"sink {node!r} unreachable "
                                   f"from {commodity.source!r}")
-        found.append(best)
+        path: list[str] = []
+        while node != commodity.source:
+            path.append(instance.arcs[pred[node]].id)
+            node = instance.arcs[pred[node]].tail
+        found.append((tuple(reversed(path)), dist[commodity.sink]))
     return found
 
 
@@ -205,12 +190,13 @@ def relative_gap(instance: Instance, flow: Flow,
 def _step(terms: dict, arc_flows: dict[str, float], costs: dict[str, float],
           free: list) -> bool:
     """Projected Newton step over ``free`` [(paths, p, r, c_p - c_r), ...]:
-    p moves at rate y_p against its reference r, (Z diag(q') Z^T + 1e-9 max
-    diag I) y = -(c_p - c_r), Z_p = p's arcs minus r's, q' = right slope; a
-    zero-flow p with y_p < 0 leaves and y is re-solved; a lone p moves at
-    -sign(c_p - c_r). A ratio test and brentq stop at the least potential
-    before a path empties. Updates arc_flows, costs; False if no descent."""
-    from scipy.optimize import brentq
+    p moves at rate y_p against its reference r, M y = -(c_p - c_r) with
+    M = Z diag(q') Z^T + 1e-9 max diag I, Z_p = p's arcs minus r's, q' =
+    right slope, refined once so that y is exact on the range of Z diag(q')
+    Z^T; a zero-flow p with y_p < 0 leaves and y is re-solved; a lone p
+    moves at -sign(c_p - c_r). An exact line search and a ratio test stop
+    at the least potential before a path empties. Updates arc_flows,
+    costs; False if no descent."""
     sides: dict[str, list] = {}  # arc -> [(row k, +1 on p_k, -1 on r_k)]
     for k, (_, p, r, _) in enumerate(free):
         on_p, on_r = set(p), set(r)
@@ -228,9 +214,13 @@ def _step(terms: dict, arc_flows: dict[str, float], costs: dict[str, float],
         keep, kept = list(range(len(free))), None
         while keep and keep != kept:
             kept, reg = keep, 1e-9 * max(gram[k][k] for k in keep) or 1.0
-            y = np.linalg.solve(
-                [[gram[k][j] + reg * (k == j) for j in keep] for k in keep],
-                [-free[k][3] for k in keep]).tolist()
+            low = np.linalg.cholesky(
+                [[gram[k][j] + reg * (k == j) for j in keep] for k in keep]
+            ).tolist()
+            y = _cholesky_solve(low, [-free[k][3] for k in keep])
+            # reg y is the residual of the unregularised system
+            y = [u + v for u, v in zip(y, _cholesky_solve(
+                low, [reg * u for u in y]))]
             keep = [k for k, v in zip(kept, y)
                     if v >= 0.0 or free[k][0][free[k][1]] > 0.0]
     rates, rate = dict(zip(keep, y)), {}
@@ -242,14 +232,8 @@ def _step(terms: dict, arc_flows: dict[str, float], costs: dict[str, float],
               if (d := sum(s * rates.get(k, 0.0) for k, s in rows))]
     t_max, stop = min(((paths[p] / -v, p) for p, (paths, v) in rate.items()
                        if v < 0.0), default=(0.0, None))
-    if not t_max > 0.0 or not sum(costs[a] * d for a, *_, d in moving) < 0.0:
+    if not t_max > 0.0 or (t := _line_search(moving, t_max)) is None:
         return False
-
-    def deriv(t: float) -> float:
-        return sum((lat.eval(f + t * d) + dev.eval(f + t * d)) * d
-                   for _, lat, dev, f, d in moving)
-    t = t_max if deriv(t_max) <= 0.0 else brentq(
-        deriv, 0.0, t_max, xtol=1e-15 / max(abs(v) for _, v in rate.values()))
     for a, lat, dev, f, d in moving:
         arc_flows[a] = f + t * d
         costs[a] = lat.eval(f + t * d) + dev.eval(f + t * d)
@@ -258,6 +242,68 @@ def _step(terms: dict, arc_flows: dict[str, float], costs: dict[str, float],
         if paths[p] <= 1e-15 or (p == stop and t == t_max):
             del paths[p]
     return True
+
+
+def _cholesky_solve(low: list[list[float]], b: list[float]) -> list[float]:
+    """x with L L^T x = b for the lower triangular L = ``low``: forward
+    substitution on L, then back substitution on L^T, whose rows are L's
+    columns."""
+    y: list[float] = []
+    for row, v in zip(low, b):
+        y.append((v - sum(map(mul, row, y))) / row[len(y)])
+    x: list[float] = []  # backwards, last entry first
+    for col, v in zip(reversed(list(zip(*low))), reversed(y)):
+        x.append((v - sum(map(mul, reversed(col), x))) / col[-1 - len(x)])
+    return x[::-1]
+
+
+def _line_search(moving: list, t_max: float) -> float | None:
+    """The least t in [0, t_max] with g(t) = sum_a q_a(f_a + t d_a) d_a >= 0
+    over ``moving`` [(arc, lat, dev, f_a, d_a), ...]; t_max if g stays
+    negative, None if g(0) >= 0. Between the pwl breakpoints that the step
+    crosses g is one polynomial: ``coef`` holds it on the current piece and
+    each kink (t_k, jump) adds jump to its slope from t_k on."""
+    coef, kinks = [0.0, 0.0], []
+    for _, lat, dev, f, d in moving:
+        for c in (lat, dev):
+            if c.kind == "poly":
+                taylor = list(c.data)  # c's Taylor coefficients at f
+                for i in range(len(taylor) - 1):
+                    for k in range(len(taylor) - 2, i - 1, -1):
+                        taylor[k] += f * taylor[k + 1]
+                coef += [0.0] * (len(taylor) - len(coef))
+                for j, v in enumerate(taylor):
+                    coef[j] += v * d ** (j + 1)
+                continue
+            coef[0] += c.eval(f) * d
+            coef[1] += c.slope(f) * d * d
+            slopes = [0.0] + [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1)
+                              in zip(c.data, c.data[1:])]
+            for (x, _), before, after in zip(c.data, slopes, slopes[1:]):
+                t_k = (x - f) / d  # moving left, a kink at f is crossed at 0
+                if 0.0 < t_k < t_max or (t_k == 0.0 and d < 0.0):
+                    kinks.append((t_k, (after - before) * d * abs(d)))
+    if not coef[0] < 0.0:
+        return None
+    lo, g_lo = 0.0, coef[0]
+    for hi, jump in sorted(kinks) + [(t_max, 0.0)]:
+        g_hi = _value_and_slope(coef, hi)[0]
+        if g_hi > 0.0:
+            if not any(coef[2:]):  # affine on [lo, hi]: the exact secant
+                return lo + (hi - lo) * g_lo / (g_lo - g_hi)
+            t = hi  # Newton steps safeguarded by bisection
+            for _ in range(100):
+                value, slope = _value_and_slope(coef, t)
+                lo, hi = (lo, t) if value > 0.0 else (t, hi)
+                step = t - value / slope if slope > 0.0 else lo
+                if abs(step - t) <= 1e-15 * t:
+                    break
+                t = step if lo < step < hi else 0.5 * (lo + hi)
+            return t
+        coef[0] -= jump * hi
+        coef[1] += jump
+        lo, g_lo = hi, g_hi
+    return t_max
 
 
 def _solve(instance: Instance, deviation: Deviation | None,

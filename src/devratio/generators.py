@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from . import lp
 from .core import (Arc, Commodity, Curve, Deviation, Flow, Instance,
                    ThresholdPair, social_cost)
+from .equilibrium import verify_nash
 from .errors import ConstructionFailed, InvalidInstance, NoValidSplit
 
 
@@ -27,7 +28,6 @@ class GeneratedCase:
     family: str
 
     def validate(self, eps: float = 1e-9, ratio_tol: float = 1e-9) -> None:
-        from .equilibrium import verify_nash
         bad = verify_nash(self.instance, self.z, None, eps)
         if bad:
             raise ConstructionFailed(f"z fails equilibrium check: {bad[:3]}")
@@ -342,7 +342,6 @@ def smoothness_tight(c: Curve, beta: float, r: float,
     x = Flow(instance, [{("cong",): r}])
     z_star = Flow(instance, [{("cong",): epsilon, ("flat",): r - epsilon}])
     ratio = social_cost(instance, x) / social_cost(instance, z_star)
-    from .equilibrium import verify_nash
     bad = verify_nash(instance, x, deviation, eps=1e-9)
     if bad:
         raise ConstructionFailed(f"x fails equilibrium check: {bad}")

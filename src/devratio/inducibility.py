@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import lp
-from .core import SUPPORT_EPS, Curve, Deviation, Flow, Instance
+from .core import SUPPORT_EPS, Curve, Deviation, Flow, Instance, _dot
 from .equilibrium import _bellman_ford, verify_nash
 from .errors import (ConstructionFailed, InvalidInstance, NotCommonSource,
                      NotInducible)
@@ -38,15 +38,9 @@ class AuxGraph:
     arcs: tuple[AuxArc, ...]
 
     def to_dot(self) -> str:
-        lines = ["digraph aux {"]
-        for node in self.nodes:
-            lines.append(f'  "{node}";')
-        for arc in self.arcs:
-            style = "dashed" if arc.is_reversed else "solid"
-            lines.append(f'  "{arc.tail}" -> "{arc.head}" '
-                         f'[label="{arc.arc_id}: {arc.cost:.6g}", style={style}];')
-        lines.append("}")
-        return "\n".join(lines)
+        return _dot("aux", self.nodes, [
+            (a.tail, a.head, f'label="{a.arc_id}: {a.cost:.6g}", style='
+             + ("dashed" if a.is_reversed else "solid")) for a in self.arcs])
 
 
 def _arc_table(instance: Instance, flow: Flow
@@ -134,14 +128,6 @@ def is_inducible(instance: Instance, flow: Flow) -> InducibilityResult:
     if cycle is not None:
         return InducibilityResult(False, cycle, True)
     return InducibilityResult(True)
-
-
-def potentials(instance: Instance, flow: Flow) -> dict[str, float]:
-    """Shortest-path distances from the common source in the aux graph."""
-    pi, cycle, _ = _aux_search(instance, flow)
-    if cycle is not None:
-        raise NotInducible("auxiliary graph has a negative cycle")
-    return pi
 
 
 def recover_deviation(instance: Instance, flow: Flow) -> Deviation:
@@ -279,6 +265,7 @@ def check_path_inequalities(instance: Instance, flow: Flow,
             continue
         start = aux_path[0].tail
         end = aux_path[-1].head
+        path = [(a.arc_id, a.is_reversed) for a in aux_path]
         rhs_fwd = sum(hi_cost[a.arc_id] for a in aux_path if not a.is_reversed)
         rhs_rev = sum(lo_cost[a.arc_id] for a in aux_path if a.is_reversed)
         if start == source and end == commodity.sink:
@@ -286,19 +273,14 @@ def check_path_inequalities(instance: Instance, flow: Flow,
             rhs = rhs_fwd - rhs_rev
             if lhs > rhs + 1e-9:
                 report.append({"commodity": i, "kind": "source_to_sink",
-                               "lhs": lhs, "rhs": rhs,
-                               "path": [(a.arc_id, a.is_reversed)
-                                        for a in aux_path]})
+                               "lhs": lhs, "rhs": rhs, "path": path})
         elif start == commodity.sink and end == source:
             lhs = max(sum(hi_cost[a] for a in p) for p in carrying)
             rhs = rhs_rev - rhs_fwd
             if lhs < rhs - 1e-9:
                 report.append({"commodity": i, "kind": "sink_to_source",
-                               "lhs": lhs, "rhs": rhs,
-                               "path": [(a.arc_id, a.is_reversed)
-                                        for a in aux_path]})
+                               "lhs": lhs, "rhs": rhs, "path": path})
         else:
             report.append({"commodity": i, "kind": "bad_endpoints",
-                           "path": [(a.arc_id, a.is_reversed)
-                                    for a in aux_path]})
+                           "path": path})
     return report

@@ -16,7 +16,7 @@ import random
 from .core import (Curve, Deviation, Flow, Instance, Arc, Commodity,
                    ThresholdPair, enumerate_paths, social_cost)
 from .equilibrium import SolverConfig, wardrop, worst_equilibrium_cost
-from .errors import InvalidInstance, TooLarge
+from .errors import InvalidConfig, InvalidInstance, TooLarge
 
 _DEFAULT_COMBO_BUDGET = 65536
 
@@ -43,6 +43,8 @@ def _lambda_deviations(instance: Instance, lambda_grid: int,
                        budget: int):
     """Yield (lambda vector, Deviation) over the grid, in lexicographic
     order of the lambda vector."""
+    if lambda_grid < 1:
+        raise InvalidConfig(f"lambda_grid must be >= 1, got {lambda_grid}")
     arcs = _scalable_arcs(instance)
     levels = [i / (lambda_grid - 1) for i in range(lambda_grid)] \
         if lambda_grid > 1 else [1.0]

@@ -410,12 +410,34 @@ def test_bad_input_exits_with_a_message(runner, tmp_path, args, code, named):
     assert named in result.output
 
 
+@pytest.mark.parametrize("args", [
+    ["bound", "mu-hat", "--pwl", "0:0,1:nan"],
+    ["bound", "mu-hat", "--poly", "inf,1"],
+    ["generate", "smoothness-tight", "--poly", "0,nan", "--out", "{out}"],
+    ["solve", "{instance}"]], ids=["pwl", "poly", "generate", "solve-json"])
+def test_non_finite_curve_numbers_exit_2(runner, tmp_path, args):
+    # a non-finite curve number is bad input: exit 2, and no file written
+    instance = gen(runner, tmp_path, "braess", "--m", "2")
+    spec = json.loads(instance.read_text())
+    spec["arcs"][0]["latency"] = {"poly": [float("nan"), 1.0]}
+    instance.write_text(json.dumps(spec))
+    args = [a.format(out=tmp_path / "out.json", instance=instance)
+            for a in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "finite" in result.output
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_import_loads_no_scipy():
-    # every CLI call is a fresh process; scipy loads only when an LP, a
-    # line search or mu_hat first needs it
+    # every CLI call is a fresh process; scipy loads only when an LP or
+    # mu_hat first needs it, so neither the import nor a deviated solve
+    # loads it
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); "
             "import devratio, devratio.cli; "
+            "case = devratio.braess(4, 1.0); "
+            "devratio.wardrop(case.instance, case.deviation); "
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout

@@ -54,6 +54,21 @@ class TestCurve:
         # beyond the last breakpoint the slope-4 line continues
         assert c.integral(3.0) == pytest.approx(2.0 + (4.0 + 8.0) / 2)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Curve.poly([0.0, float("nan")]),
+        lambda: Curve.poly([float("inf"), 1.0]),
+        lambda: Curve.pwl([(0.0, 0.0), (1.0, float("nan"))]),
+        lambda: Curve.pwl([(0.0, 0.0), (float("inf"), 1.0)]),
+        lambda: Curve.from_json({"poly": [float("nan")]}),
+        lambda: Curve.from_json({"pwl": [[0.0, 0.0], [1.0, float("-inf")]]}),
+        lambda: Curve.poly([0.0, 1.0]).scale(float("inf")),
+        lambda: Curve.pwl([(0.0, 1.0), (1.0, 2.0)]).scale(float("nan"))],
+        ids=["poly-nan", "poly-inf", "pwl-nan", "pwl-inf", "json-poly",
+             "json-pwl", "scale-poly", "scale-pwl"])
+    def test_non_finite_numbers_rejected(self, build):
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
     def test_scale(self):
         assert Curve.poly([1.0, 2.0]).scale(3.0).eval(1.0) == 9.0
         assert Curve.pwl([(0.0, 0.0), (1.0, 2.0)]).scale(0.5).eval(1.0) == 1.0

@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from devratio import equilibrium
@@ -10,7 +11,7 @@ from devratio.core import (Arc, Commodity, Curve, Deviation, Flow, Instance,
 from devratio.equilibrium import (SolverConfig, _gap, _shortest_paths,
                                   beckmann_potential,
                                   check_monotone_perceived, relative_gap,
-                                  shortest_path, verify_nash, wardrop,
+                                  verify_nash, wardrop,
                                   worst_equilibrium_cost)
 from devratio.errors import (InvalidConfig, InvalidInstance, NonLinearFace,
                              NonMonotonePerceived, NotConverged)
@@ -107,6 +108,21 @@ class TestSolverConfig:
     def test_out_of_range_is_typed_error(self, fields):
         with pytest.raises(InvalidConfig):
             SolverConfig(**fields)
+
+
+def shortest_path(instance: Instance, costs: dict[str, float], source: str,
+                  sink: str):
+    """(path, length) from source to sink as wardrop and verify_nash find
+    it, on a one-commodity copy of the instance; None when the sink is
+    unreachable."""
+    alone = Instance(instance.nodes, instance.arcs,
+                     [Commodity(source, sink, 1.0)])
+    try:
+        return _shortest_paths(alone, costs)[0]
+    except InvalidInstance as exc:
+        if "unreachable" not in str(exc):
+            raise
+        return None
 
 
 class TestShortestPath:
@@ -344,6 +360,14 @@ class TestWardrop:
         assert social_cost(case.instance, result.flow) == pytest.approx(
             1.0 + 64, abs=1e-9)
 
+    @pytest.mark.parametrize("m, deviated, most", [(64, True, 70),
+                                                   (32, False, 207)])
+    def test_newton_steps_on_braess(self, m, deviated, most):
+        # deviated Braess takes about one Newton step per round
+        case = braess(m, 1.0)
+        result = wardrop(case.instance, case.deviation if deviated else None)
+        assert result.iterations <= most
+
     @pytest.mark.parametrize("deviated", [False, True])
     def test_grid_with_four_commodities_is_nash(self, deviated):
         instance, deviation = grid(random.Random(8), 8, 4)
@@ -440,6 +464,60 @@ class TestWardrop:
                                                  start.commodity_paths])
             assert again.potential_value == pytest.approx(
                 base.potential_value, rel=1e-7, abs=1e-7)
+
+
+def _curves(draw):
+    """A non-decreasing curve on [0, inf): a polynomial of degree <= 3 with
+    non-negative coefficients or a pwl curve with up to four breakpoints."""
+    grid = st.integers(0, 12).map(lambda k: k / 4)
+    if draw(st.booleans()):
+        return Curve.poly(draw(st.lists(grid, min_size=1, max_size=4)))
+    xs = sorted(draw(st.sets(grid, min_size=1, max_size=4)))
+    rises = draw(st.lists(grid, min_size=len(xs), max_size=len(xs)))
+    return Curve.pwl(zip(xs, itertools.accumulate(rises)))
+
+
+@st.composite
+def _moving_arcs(draw):
+    """(moving, t_max) for equilibrium._line_search: arcs whose flows f + t d
+    stay non-negative for t in [0, t_max]."""
+    moving = []
+    for k in range(draw(st.integers(1, 4))):
+        lat = _curves(draw)
+        dev = _curves(draw) if draw(st.booleans()) else Curve.constant(0.0)
+        # half of the flows sit on a breakpoint, where the slope jumps
+        kinks = [x for c in (lat, dev) if c.kind == "pwl" for x, _ in c.data]
+        f = draw(st.sampled_from(kinks) if kinks and draw(st.booleans())
+                 else st.integers(0, 24).map(lambda j: j / 8))
+        d = draw(st.sampled_from([-1.0, 1.0])) * draw(
+            st.integers(1, 8).map(lambda j: j / 4))
+        moving.append((f"a{k}", lat, dev, f, d))
+    t_max = min([draw(st.integers(1, 16).map(lambda j: j / 4))]
+                + [f / -d for *_, f, d in moving if d < 0.0])
+    assume(t_max > 0.0)
+    return moving, t_max
+
+
+class TestLineSearch:
+    @given(_moving_arcs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_bisection_on_direct_sums(self, case):
+        moving, t_max = case
+
+        def g(t):
+            return sum((lat.eval(f + t * d) + dev.eval(f + t * d)) * d
+                       for _, lat, dev, f, d in moving)
+        assume(abs(g(0.0)) > 1e-9)
+        t = equilibrium._line_search(moving, t_max)
+        if g(0.0) > 0.0:
+            assert t is None
+            return
+        lo, hi = 0.0, t_max  # the least t with g(t) >= 0, or t_max
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if g(mid) > 0.0 else (mid, hi)
+        assert 0.0 < t <= t_max
+        assert t == pytest.approx(hi, abs=1e-9 * t_max)
 
 
 class TestVerifyNash:

@@ -7,10 +7,9 @@ from devratio.core import (Arc, Commodity, Curve, Flow, Instance,
                            ThresholdPair, validate_deviation)
 from devratio.equilibrium import verify_nash, wardrop
 from devratio.errors import NotCommonSource, NotInducible
-from devratio.inducibility import (build_aux_graph,
+from devratio.inducibility import (_aux_search, build_aux_graph,
                                    check_path_inequalities, is_inducible,
-                                   oracle_inducible, potentials,
-                                   recover_deviation)
+                                   oracle_inducible, recover_deviation)
 from devratio.generators import braess, remark_b1_counterexample
 from devratio.search import random_common_source_instance, random_flow
 
@@ -142,6 +141,14 @@ class TestRecoverDeviation:
             assert sum(a.cost for a in result.witness) < -1e-10
 
 
+def potentials(instance: Instance, flow: Flow) -> dict[str, float]:
+    """The auxiliary shortest-path distances from the common source that
+    is_inducible and recover_deviation decide and recover from."""
+    pi, cycle, _ = _aux_search(instance, flow)
+    assert cycle is None and is_inducible(instance, flow)
+    return pi
+
+
 class TestPotentials:
     def test_source_is_zero(self):
         case = braess(3, 1.0)
@@ -154,6 +161,8 @@ class TestPotentials:
         graph = build_aux_graph(case.instance, case.x)
         for arc in graph.arcs:
             assert pi[arc.head] <= pi[arc.tail] + arc.cost + 1e-9
+        deviation = recover_deviation(case.instance, case.x)
+        assert verify_nash(case.instance, case.x, deviation, eps=1e-7) == []
 
 
 class TestOracle:

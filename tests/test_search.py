@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from devratio.core import (Arc, Commodity, Curve, Instance, ThresholdPair,
                            social_cost, validate_deviation)
 from devratio.equilibrium import wardrop
-from devratio.errors import InvalidInstance, TooLarge
+from devratio.errors import InvalidConfig, InvalidInstance, TooLarge
 from devratio.generators import braess
 from devratio.search import (best_deviation, deviation_grid_costs,
                              empirical_dr, random_common_source_instance,
@@ -82,6 +82,14 @@ class TestGridCosts:
         _, best = best_deviation(inst, lambda_grid=3)
         assert max(costs) == pytest.approx(worst, abs=1e-9)
         assert min(costs) == pytest.approx(best, abs=1e-9)
+
+    @pytest.mark.parametrize("search", [deviation_grid_costs,
+                                        worst_deviation, best_deviation])
+    @pytest.mark.parametrize("grid", [0, -2])
+    def test_grid_below_one_is_typed_error(self, search, grid):
+        # not a silent one-point grid at lambda = 1
+        with pytest.raises(InvalidConfig, match="lambda_grid"):
+            search(braess(2, 1.0).instance, grid)
 
     def test_lambda_vectors_are_lexicographic(self):
         case = braess(2, 1.0)
