@@ -163,7 +163,7 @@ def bound_general(instance: Instance, x: Flow, z: Flow, tree: AltPathTree,
     under x. Valid when x is inducible and z is an original equilibrium;
     other inputs get the formula anyway, with a warning attached.
     """
-    thresholds = instance.thresholds
+    theta = instance.theta
     warnings: list[str] = []
     if check_inputs:
         from .equilibrium import verify_nash
@@ -191,15 +191,11 @@ def bound_general(instance: Instance, x: Flow, z: Flow, tree: AltPathTree,
 
         term = 0.0
         for arc_id, orientation in tree.paths[i]:
-            arc = instance.arcs_by_id[arc_id]
+            lo, hi = theta[arc_id]
             za = z.arc_flow(arc_id)
-            if orientation == Z_FORWARD:
-                term += thresholds.theta_max(arc, za)
-            else:
-                term -= thresholds.theta_min(arc, za)
+            term += hi.eval(za) if orientation == Z_FORWARD else -lo.eval(za)
         for arc_id in heavy:
-            arc = instance.arcs_by_id[arc_id]
-            term -= thresholds.theta_min(arc, x.arc_flow(arc_id))
+            term -= theta[arc_id][0].eval(x.arc_flow(arc_id))
         total += commodity.demand * term
     return GeneralBound(total, tuple(heavy_paths), tuple(warnings))
 

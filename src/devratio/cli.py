@@ -229,9 +229,7 @@ def induce(instance_path, flow_path, out) -> None:
     else:
         cycle = [f"{'-' if a.is_reversed else '+'}{a.arc_id}"
                  for a in verdict.witness]
-        where = "reachable" if verdict.witness_reachable else "unreachable"
-        click.echo(f"not inducible; negative cycle ({where} from source): "
-                   + " ".join(cycle))
+        click.echo("not inducible; negative cycle: " + " ".join(cycle))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from numpy.polynomial.polynomial import polyroots
@@ -218,8 +219,8 @@ class Commodity:
     demand: float
 
     def __post_init__(self):
-        if self.demand <= 0.0:
-            raise InvalidInstance("commodity demand must be positive")
+        if not 0.0 < self.demand < math.inf:
+            raise InvalidInstance("commodity demand must be finite and > 0")
         if self.source == self.sink:
             raise InvalidInstance("commodity source and sink must differ")
 
@@ -233,8 +234,8 @@ class ThresholdPair:
     * ``alpha_beta``: theta_min = alpha * l_a, theta_max = beta * l_a with
       -1 < alpha <= 0 <= beta.
     * ``per_arc``: explicit curves per arc id. ``lower`` stores the
-      *magnitude* of theta_min (a non-negative curve, negated on
-      evaluation); missing arcs default to zero.
+      *magnitude* of theta_min (a non-negative curve, negated by
+      :meth:`curves`); missing arcs default to zero.
     """
 
     kind: str
@@ -245,8 +246,8 @@ class ThresholdPair:
 
     @classmethod
     def alpha_beta(cls, alpha: float, beta: float) -> "ThresholdPair":
-        if not (-1.0 < alpha <= 0.0 <= beta):
-            raise InvalidInstance("need -1 < alpha <= 0 <= beta")
+        if not -1.0 < alpha <= 0.0 <= beta < math.inf:
+            raise InvalidInstance("need -1 < alpha <= 0 <= beta < inf")
         return cls("alpha_beta", alpha=alpha, beta=beta)
 
     @classmethod
@@ -263,29 +264,13 @@ class ThresholdPair:
     def zero(cls) -> "ThresholdPair":
         return cls.per_arc()
 
-    def theta_min(self, arc: Arc, x: float) -> float:
+    def curves(self, arc: Arc) -> tuple[Curve, Curve]:
+        """Signed (theta_min, theta_max) curves of ``arc``."""
         if self.kind == "alpha_beta":
-            return self.alpha * arc.latency.eval(x)
-        curve = self.lower.get(arc.id)
-        return -curve.eval(x) if curve is not None else 0.0
-
-    def theta_max(self, arc: Arc, x: float) -> float:
-        if self.kind == "alpha_beta":
-            return self.beta * arc.latency.eval(x)
-        curve = self.upper.get(arc.id)
-        return curve.eval(x) if curve is not None else 0.0
-
-    def theta_min_curve(self, arc: Arc) -> Curve:
-        """Signed curve for theta_min (values <= 0)."""
-        if self.kind == "alpha_beta":
-            return arc.latency.scale(self.alpha)
-        curve = self.lower.get(arc.id)
-        return curve.scale(-1.0) if curve is not None else ZERO_CURVE
-
-    def theta_max_curve(self, arc: Arc) -> Curve:
-        if self.kind == "alpha_beta":
-            return arc.latency.scale(self.beta)
-        return self.upper.get(arc.id, ZERO_CURVE)
+            return arc.latency.scale(self.alpha), arc.latency.scale(self.beta)
+        lower = self.lower.get(arc.id)
+        return (ZERO_CURVE if lower is None else lower.scale(-1.0),
+                self.upper.get(arc.id, ZERO_CURVE))
 
     def to_json(self) -> dict:
         if self.kind == "alpha_beta":
@@ -324,6 +309,12 @@ class Instance:
         self.out_arcs: dict[str, list[Arc]] = {v: [] for v in self.nodes}
         for arc in self.arcs:
             self.out_arcs[arc.tail].append(arc)
+
+    @cached_property
+    def theta(self) -> dict[str, tuple[Curve, Curve]]:
+        """Signed (theta_min, theta_max) curves per arc id, built on first
+        use."""
+        return {arc.id: self.thresholds.curves(arc) for arc in self.arcs}
 
     @property
     def n_nodes(self) -> int:
@@ -369,10 +360,10 @@ class Instance:
         perceived latencies non-negative)."""
         x_max = max(self.total_demand, 1.0)
         for arc in self.arcs:
-            terms = [(1.0, arc.latency),
-                     (1.0, self.thresholds.theta_min_curve(arc))]
-            for x in critical_points(terms, x_max):
-                if arc.latency.eval(x) + self.thresholds.theta_min(arc, x) < -1e-12:
+            theta_min = self.theta[arc.id][0]
+            for x in critical_points([(1.0, arc.latency), (1.0, theta_min)],
+                                     x_max):
+                if arc.latency.eval(x) + theta_min.eval(x) < -1e-12:
                     raise InvalidInstance(
                         f"l + theta_min negative on arc {arc.id!r} at x={x}")
 
@@ -476,8 +467,8 @@ class Flow:
         for commodity, paths in zip(self.instance.commodities, self.commodity_paths):
             total = 0.0
             for path, value in paths.items():
-                if value < -1e-12:
-                    raise InvalidInstance("negative path flow")
+                if not value >= -1e-12:
+                    raise InvalidInstance(f"path flow {value} is not >= 0")
                 node = commodity.source
                 for arc_id in path:
                     arc = self.instance.arcs_by_id.get(arc_id)
@@ -575,14 +566,11 @@ def validate_deviation(instance: Instance, deviation: Deviation) -> list[dict]:
     report = []
     for arc in instance.arcs:
         delta = deviation.curves.get(arc.id, ZERO_CURVE)
-        theta_min = instance.thresholds.theta_min_curve(arc)
-        theta_max = instance.thresholds.theta_max_curve(arc)
+        theta_min, theta_max = instance.theta[arc.id]
         points = {*critical_points([(1.0, delta), (-1.0, theta_min)], x_max),
                   *critical_points([(1.0, theta_max), (-1.0, delta)], x_max)}
         for x in sorted(points):
-            value = deviation.eval(arc.id, x)
-            lo = instance.thresholds.theta_min(arc, x)
-            hi = instance.thresholds.theta_max(arc, x)
+            value, lo, hi = delta.eval(x), theta_min.eval(x), theta_max.eval(x)
             if value < lo - 1e-9 or value > hi + 1e-9:
                 report.append({"arc": arc.id, "x": x, "delta": value,
                                "theta_min": lo, "theta_max": hi})

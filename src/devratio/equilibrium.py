@@ -311,7 +311,9 @@ def _solve(instance: Instance, deviation: Deviation | None,
            ) -> tuple[EquilibriumResult, dict[str, float], dict]:
     """``wardrop``, also returning the last round's arc costs and searches."""
     check_monotone_perceived(instance, deviation)
-    terms, inner = _terms(instance, deviation), 1e-3 * config.relative_gap_tol
+    # a phase ends at 1e-3 of the gap tolerance, floored at float rounding
+    terms = _terms(instance, deviation)
+    inner = max(1e-3 * config.relative_gap_tol, 1e-15)
     # an empty start takes each commodity's shortest path at zero flow
     columns = list(map(dict, initial_paths or [{}] * len(instance.commodities)))
     iterations, prev_potential = 0, math.inf

@@ -46,12 +46,11 @@ class AuxGraph:
 def _arc_table(instance: Instance, flow: Flow
                ) -> dict[str, tuple[float, float, float]]:
     """l_a, theta^min_a and theta^max_a of every arc at its flow."""
-    thresholds = instance.thresholds
     table = {}
     for arc in instance.arcs:
         x = flow.arc_flow(arc.id)
-        table[arc.id] = (arc.latency.eval(x), thresholds.theta_min(arc, x),
-                         thresholds.theta_max(arc, x))
+        lo, hi = instance.theta[arc.id]
+        table[arc.id] = (arc.latency.eval(x), lo.eval(x), hi.eval(x))
     return table
 
 
@@ -81,11 +80,6 @@ def _aux_graph(instance: Instance, flow: Flow,
 class InducibilityResult:
     inducible: bool
     witness: tuple[AuxArc, ...] | None = None
-    #: True whenever a witness is given. Under the threshold assumption
-    #: every forward aux arc costs l + theta^max >= 0, so a negative cycle
-    #: uses a reversed flow-carrying arc, whose ends lie on flow paths from
-    #: the common source; the one search from the source reaches it.
-    witness_reachable: bool | None = None
 
     def __bool__(self) -> bool:
         return self.inducible
@@ -117,8 +111,10 @@ def is_inducible(instance: Instance, flow: Flow) -> InducibilityResult:
 
     One Bellman-Ford search from the common source, with the kernel that
     the equilibrium solver uses; a negative cycle it finds is the witness.
-    One search suffices: every negative cycle passes through a reversed
-    flow-carrying arc, which the source reaches (see witness_reachable).
+    One search suffices: under the threshold assumption every forward aux
+    arc costs l + theta^max >= 0, so a negative cycle passes through a
+    reversed flow-carrying arc, whose ends lie on flow paths from the
+    source.
 
     Only valid for common-source instances: with several sources a flow
     can be inducible although the auxiliary graph has a negative cycle
@@ -126,7 +122,7 @@ def is_inducible(instance: Instance, flow: Flow) -> InducibilityResult:
     """
     _, cycle, _ = _aux_search(instance, flow)
     if cycle is not None:
-        return InducibilityResult(False, cycle, True)
+        return InducibilityResult(False, cycle)
     return InducibilityResult(True)
 
 
@@ -140,7 +136,6 @@ def recover_deviation(instance: Instance, flow: Flow) -> Deviation:
     pi, cycle, table = _aux_search(instance, flow)
     if cycle is not None:
         raise NotInducible("flow admits no feasible inducing deviation")
-    thresholds = instance.thresholds
     curves: dict[str, Curve] = {}
     for arc in instance.arcs:
         if not (math.isfinite(pi.get(arc.tail, math.inf))
@@ -151,12 +146,12 @@ def recover_deviation(instance: Instance, flow: Flow) -> Deviation:
         value = min(max(value, lo), hi)
         if value >= 0.0:
             if hi > 1e-15:
-                curves[arc.id] = thresholds.theta_max_curve(arc).scale(value / hi)
+                curves[arc.id] = instance.theta[arc.id][1].scale(value / hi)
             elif value > 1e-15:
                 curves[arc.id] = Curve.constant(value)
         else:
             if lo < -1e-15:
-                curves[arc.id] = thresholds.theta_min_curve(arc).scale(value / lo)
+                curves[arc.id] = instance.theta[arc.id][0].scale(value / lo)
             else:
                 curves[arc.id] = Curve.constant(value)
     deviation = Deviation({a: c for a, c in curves.items()

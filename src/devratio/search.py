@@ -27,37 +27,26 @@ def _curve_is_zero(curve: Curve) -> bool:
     return not any(y for _, y in curve.data)
 
 
-def _require_zero_theta_min(instance: Instance) -> None:
-    for arc in instance.arcs:
-        if not _curve_is_zero(instance.thresholds.theta_min_curve(arc)):
-            raise InvalidInstance(
-                "lambda-grid search needs theta^min = 0 on every arc")
-
-
-def _scalable_arcs(instance: Instance) -> list:
-    return [a for a in instance.arcs
-            if not _curve_is_zero(instance.thresholds.theta_max_curve(a))]
-
-
 def _lambda_deviations(instance: Instance, lambda_grid: int,
                        budget: int):
     """Yield (lambda vector, Deviation) over the grid, in lexicographic
-    order of the lambda vector."""
+    order of the lambda vector; the grid needs theta^min = 0 on every
+    arc."""
     if lambda_grid < 1:
         raise InvalidConfig(f"lambda_grid must be >= 1, got {lambda_grid}")
-    arcs = _scalable_arcs(instance)
+    if not all(_curve_is_zero(lo) for lo, _ in instance.theta.values()):
+        raise InvalidInstance(
+            "lambda-grid search needs theta^min = 0 on every arc")
+    scalable = [(arc_id, hi) for arc_id, (_, hi) in instance.theta.items()
+                if not _curve_is_zero(hi)]
     levels = [i / (lambda_grid - 1) for i in range(lambda_grid)] \
         if lambda_grid > 1 else [1.0]
-    if len(levels) ** len(arcs) > budget:
+    if len(levels) ** len(scalable) > budget:
         raise TooLarge(
-            f"{len(levels) ** len(arcs)} grid combinations exceed {budget}")
-    for combo in itertools.product(levels, repeat=len(arcs)):
-        curves = {}
-        for arc, lam in zip(arcs, combo):
-            if lam > 0.0:
-                curves[arc.id] = \
-                    instance.thresholds.theta_max_curve(arc).scale(lam)
-        yield combo, Deviation(curves)
+            f"{len(levels) ** len(scalable)} grid combinations exceed {budget}")
+    for combo in itertools.product(levels, repeat=len(scalable)):
+        yield combo, Deviation({arc_id: hi.scale(lam) for (arc_id, hi), lam
+                                in zip(scalable, combo) if lam > 0.0})
 
 
 def worst_deviation(instance: Instance, lambda_grid: int = 4,
@@ -66,7 +55,6 @@ def worst_deviation(instance: Instance, lambda_grid: int = 4,
                     seed: int = 0) -> tuple[Deviation, float]:
     """Grid argmax of the worst equilibrium cost; the first of tied grid
     points wins. ``seed`` is unused."""
-    _require_zero_theta_min(instance)
     return max(((deviation,
                  worst_equilibrium_cost(instance, deviation, config, seed))
                 for _, deviation
@@ -80,7 +68,6 @@ def best_deviation(instance: Instance, lambda_grid: int = 4,
                    seed: int = 0) -> tuple[Deviation, float]:
     """Grid argmin of the equilibrium cost (restricted-toll flavour); the
     first of tied grid points wins."""
-    _require_zero_theta_min(instance)
     return min(((deviation, social_cost(
                     instance, wardrop(instance, deviation, config).flow))
                 for _, deviation
@@ -94,7 +81,6 @@ def deviation_grid_costs(instance: Instance, lambda_grid: int = 4,
                          seed: int = 0) -> list[tuple[tuple, float]]:
     """(lambda vector, worst equilibrium cost) for every grid point.
     ``seed`` is unused."""
-    _require_zero_theta_min(instance)
     return [(combo, worst_equilibrium_cost(instance, deviation, config, seed))
             for combo, deviation
             in _lambda_deviations(instance, lambda_grid, budget)]

@@ -332,6 +332,18 @@ class TestValidateDeviation:
         assert [entry["x"] for entry in report] == [pytest.approx(DIP_AT)]
         assert report[0]["delta"] == pytest.approx(-1e-6)
 
+    def test_thresholds_are_scaled_once_per_instance(self, monkeypatch):
+        case = braess(3, 1.0)
+        validate_deviation(case.instance, case.deviation)
+        scaled, scale = [], Curve.scale
+
+        def counted(curve, factor):
+            scaled.append(factor)
+            return scale(curve, factor)
+        monkeypatch.setattr(Curve, "scale", counted)
+        assert validate_deviation(case.instance, case.deviation) == []
+        assert scaled == []
+
 
 class TestCriticalPoints:
     def test_affine_and_pwl_give_piece_ends_without_numpy(self, monkeypatch):
@@ -436,8 +448,8 @@ def _dip_case(draw):
         delta = [1.0 - latency.data[0] + amp * (3 * h * h * c - c ** 3),
                  amp * (3 * c * c - 3 * h * h) - slope, -3.0 * amp * c, amp]
         return latency, thresholds, Curve.poly(delta), demand
-    bound = (thresholds.theta_min_curve if which == "lower"
-             else thresholds.theta_max_curve)(Arc("a", "s", "t", latency))
+    bound = latency.scale(thresholds.alpha if which == "lower"
+                          else thresholds.beta)
     sign = 1.0 if which == "lower" else -1.0
     delta = [0.0] * max(len(bound.data), 3)
     for i, coef in enumerate(bound.data):
@@ -445,6 +457,16 @@ def _dip_case(draw):
     for i, coef in enumerate(dip):
         delta[i] += sign * coef
     return latency, thresholds, Curve.poly(delta), demand
+
+
+def _reference_bounds(thresholds: ThresholdPair, latency: Curve,
+                      x: float) -> tuple[float, float]:
+    """theta_min and theta_max of the one arc "a" at x, straight from the
+    pair's fields."""
+    if thresholds.kind == "alpha_beta":
+        return thresholds.alpha * latency.eval(x), \
+            thresholds.beta * latency.eval(x)
+    return -thresholds.lower["a"].eval(x), thresholds.upper["a"].eval(x)
 
 
 def _dense_points(x_max: float, curves) -> list[float]:
@@ -466,14 +488,14 @@ class TestExactChecksMatchDenseSampling:
         latency, thresholds, delta, demand = case
         inst = Instance(["s", "t"], [Arc("a", "s", "t", latency)],
                         [Commodity("s", "t", demand)], thresholds)
-        arc, dev = inst.arcs[0], Deviation({"a": delta})
+        dev = Deviation({"a": delta})
         x_max = max(demand, 1.0)
-        curves = [latency, delta, thresholds.theta_min_curve(arc),
-                  thresholds.theta_max_curve(arc)]
+        curves = [latency, delta, *thresholds.lower.values(),
+                  *thresholds.upper.values()]
         below_zero = out_of_bounds = decreasing = False
         prev = None
         for x in _dense_points(x_max, curves):
-            lo, hi = thresholds.theta_min(arc, x), thresholds.theta_max(arc, x)
+            lo, hi = _reference_bounds(thresholds, latency, x)
             below_zero |= latency.eval(x) + lo < -1e-12
             out_of_bounds |= not lo - 1e-9 <= delta.eval(x) <= hi + 1e-9
             q = latency.eval(x) + delta.eval(x)
@@ -489,8 +511,8 @@ class TestExactChecksMatchDenseSampling:
         for entry in report:
             x = entry["x"]
             assert 0.0 <= x <= x_max
-            assert not (thresholds.theta_min(arc, x) - 1e-9 <= delta.eval(x)
-                        <= thresholds.theta_max(arc, x) + 1e-9)
+            lo, hi = _reference_bounds(thresholds, latency, x)
+            assert not lo - 1e-9 <= delta.eval(x) <= hi + 1e-9
         if decreasing:
             with pytest.raises(NonMonotonePerceived):
                 check_monotone_perceived(inst, dev)

@@ -419,6 +419,18 @@ class TestWardrop:
         result = wardrop(inst, config=config)
         assert result.relative_gap <= 1e-12
 
+    def test_tolerance_below_float_resolution_converges(self):
+        # the 11th instance of the dominance sweep with seed 11: a phase end
+        # at 1e-3 * 1e-13 of the path costs is finer than float rounding,
+        # and one phase used to run out the whole iteration budget
+        rng = random.Random(11)
+        for _ in range(11):
+            alpha, beta = rng.choice([0.0, -0.25]), rng.choice([0.5, 1.0])
+            inst = random_common_source_instance(rng, alpha=alpha, beta=beta)
+            dev = random_feasible_deviation(rng, inst)
+        config = SolverConfig(relative_gap_tol=1e-13, max_iterations=2000)
+        assert wardrop(inst, dev, config).relative_gap <= 1e-13
+
     def test_warm_start_from_given_paths(self):
         inst = pigou(Curve.poly([0.0, 1.0]), Curve.poly([0.5, 1.0]))
         result = wardrop(inst, initial_paths=[{("a2",): 1.0}])
