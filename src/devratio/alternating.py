@@ -203,8 +203,8 @@ def bound_general(instance: Instance, x: Flow, z: Flow, tree: AltPathTree,
 def _check_alpha_beta(alpha: float, beta: float) -> None:
     if not (-1.0 < alpha <= 0.0):
         raise AlphaOutOfRange(f"alpha={alpha} outside (-1, 0]")
-    if beta < 0.0:
-        raise InvalidInstance(f"beta={beta} must be non-negative")
+    if not 0.0 <= beta < math.inf:
+        raise InvalidInstance(f"beta={beta} must be finite and non-negative")
 
 
 def bound_alpha_beta(alpha: float, beta: float, etas: list[int],
@@ -215,6 +215,8 @@ def bound_alpha_beta(alpha: float, beta: float, etas: list[int],
         coarse = 1 + (beta-alpha)/(1+alpha) * ceil((n-1)/2) * sum_i r_i
     """
     _check_alpha_beta(alpha, beta)
+    if not all(map(math.isfinite, demands)):
+        raise InvalidInstance(f"demands {demands} must be finite")
     factor = (beta - alpha) / (1.0 + alpha)
     r = sum(demands)
     fine = 1.0 + factor * sum(ri * eta for ri, eta in zip(demands, etas))

@@ -21,6 +21,11 @@ def _require(ok: bool, message: str) -> None:
         raise ParameterOutOfRange(message)
 
 
+def _require_finite(*values: float) -> None:
+    _require(all(map(math.isfinite, values)),
+             f"arguments must be finite, got {', '.join(map(str, values))}")
+
+
 def _half_ceil(n: int) -> int:
     return math.ceil((n - 1) / 2)
 
@@ -31,6 +36,7 @@ def pra_bound(gamma: float, kappa: float, n: int, r: float) -> float:
     1 + gamma*kappa*ceil((n-1)/2)*r for gamma >= 0, and
     1 - gamma*kappa/(1+gamma*kappa)*ceil((n-1)/2)*r for -1/kappa < gamma <= 0.
     """
+    _require_finite(gamma, kappa, r)
     _require(kappa > 0.0 and n >= 2 and r > 0.0,
              f"need kappa > 0, n >= 2, r > 0; got {kappa}, {n}, {r}")
     if gamma <= -1.0 / kappa:
@@ -49,6 +55,7 @@ def pra_lower_even(gamma: float, kappa: float, n: int, r: float) -> float:
     gamma.
     """
     _require(n % 2 == 0, f"even number of nodes required, got n={n}")
+    _require_finite(gamma, kappa, r)
     _require(kappa > 0.0 and n >= 2 and r > 0.0,
              f"need kappa > 0, n >= 2, r > 0; got {kappa}, {n}, {r}")
     if gamma <= -1.0 / kappa:
@@ -65,7 +72,8 @@ def stability_bound(epsilon: float, n: int, r: float) -> float:
     [1-eps, 1+eps]: 2*eps/(1-eps) * ceil((n-1)/2) * r."""
     if not (0.0 < epsilon < 1.0):
         raise EpsilonOutOfRange(f"epsilon={epsilon} must lie in (0, 1)")
-    _require(n >= 2 and r > 0.0, f"need n >= 2, r > 0; got {n}, {r}")
+    _require(n >= 2 and 0.0 < r < math.inf,
+             f"need n >= 2, 0 < r < inf; got {n}, {r}")
     return 2.0 * epsilon / (1.0 - epsilon) * _half_ceil(n) * r
 
 
@@ -77,10 +85,11 @@ class SmoothnessQuery:
     grid: int = 512
 
     def __post_init__(self):
-        _require(self.domain_max > 0.0,
-                 f"domain_max={self.domain_max} must be positive")
+        _require(0.0 < self.domain_max < math.inf,
+                 f"domain_max={self.domain_max} must be positive and finite")
         _require(self.grid >= 100, f"grid={self.grid} must be at least 100")
-        _require(self.beta >= 0.0, f"beta={self.beta} must be non-negative")
+        _require(0.0 <= self.beta < math.inf,
+                 f"beta={self.beta} must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -144,6 +153,7 @@ def mu_hat(query: SmoothnessQuery) -> MuHatResult:
 
 def bpoa_bound(mu_hat_value: float, beta: float) -> float:
     """(1+beta) / (1-mu): deviated equilibrium cost vs the social optimum."""
+    _require_finite(mu_hat_value, beta)
     if mu_hat_value >= 1.0:
         raise MuTooLarge(f"mu={mu_hat_value} must be below 1")
     return (1.0 + beta) / (1.0 - mu_hat_value)
@@ -152,6 +162,7 @@ def bpoa_bound(mu_hat_value: float, beta: float) -> float:
 def path_deviation_bound(mu_hat_zero: float, beta: float) -> float:
     """(1+beta) / (1-(1+beta)*mu0) for path-based deviations; needs the
     beta=0 smoothness constant mu0 below 1/(1+beta)."""
+    _require_finite(mu_hat_zero, beta)
     if mu_hat_zero >= 1.0 / (1.0 + beta):
         raise MuTooLarge(
             f"mu0={mu_hat_zero} must be below 1/(1+beta)={1 / (1 + beta)}")
@@ -161,6 +172,7 @@ def path_deviation_bound(mu_hat_zero: float, beta: float) -> float:
 def bpoa_dr_gap(mu_hat_value: float, beta: float) -> float:
     """(1+beta)*mu/(1-mu): gap between the optimum-relative and
     equilibrium-relative worst-case ratios."""
+    _require_finite(mu_hat_value, beta)
     if mu_hat_value >= 1.0:
         raise MuTooLarge(f"mu={mu_hat_value} must be below 1")
     return (1.0 + beta) * mu_hat_value / (1.0 - mu_hat_value)
@@ -175,6 +187,7 @@ def heterogeneous_bound(taus: list[float], demands: list[float],
     single all-Z segment (e.g. series-parallel networks); callers supply
     flows elsewhere to check that structure.
     """
+    _require_finite(*taus, *demands, beta)
     if abs(sum(demands) - 1.0) > 1e-9:
         raise DemandNotNormalized(f"demands sum to {sum(demands)}, need 1")
     _require(len(taus) == len(demands),

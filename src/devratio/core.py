@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -89,18 +90,24 @@ class Curve:
         (x0, y0), (x1, y1) = pts[-2], pts[-1]
         return y1 + (y1 - y0) * (x - x1) / (x1 - x0)
 
+    @cached_property
+    def pieces(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """A pwl curve's breakpoint xs and the slope of the piece that ends
+        at each (0 before the first), built on first use."""
+        pts = self.data
+        return tuple(x for x, _ in pts), (0.0, *(
+            (y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])))
+
     def slope(self, x: float) -> float:
         """Right derivative at x (a pwl curve's slope after a breakpoint)."""
         if self.kind == "poly":
             return _value_and_slope(self.data, x)[1]
-        pts = self.data
-        if len(pts) == 1 or x < pts[0][0]:
-            return 0.0
-        k = min(sum(px <= x for px, _ in pts), len(pts) - 1)
-        return (pts[k][1] - pts[k - 1][1]) / (pts[k][0] - pts[k - 1][0])
+        xs, slopes = self.pieces
+        return slopes[min(bisect_right(xs, x), len(xs) - 1)]
 
     def integral(self, upper: float) -> float:
-        """Exact value of the integral from 0 to ``upper``."""
+        """Exact value of the integral from 0 to ``upper``; on a pwl curve
+        the trapezoid rule over its breakpoints in (0, upper)."""
         if upper <= 0.0:
             return 0.0
         if self.kind == "poly":
@@ -108,9 +115,13 @@ class Curve:
             for k, c in enumerate(self.data):
                 acc += c * upper ** (k + 1) / (k + 1)
             return acc
-        xs = critical_points([(1.0, self)], upper)
-        return sum(0.5 * (self.eval(a) + self.eval(b)) * (b - a)
-                   for a, b in zip(xs, xs[1:]))
+        acc, a, y_a = 0.0, 0.0, self.eval(0.0)
+        for x, _ in self.data:
+            if 0.0 < x < upper:
+                y = self.eval(x)
+                acc += 0.5 * (y_a + y) * (x - a)
+                a, y_a = x, y
+        return acc + 0.5 * (y_a + self.eval(upper)) * (upper - a)
 
     def scale(self, factor: float) -> "Curve":
         if self.kind == "poly":

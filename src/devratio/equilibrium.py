@@ -13,19 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import mul
 
 import numpy as np
 
 from . import lp
-from .core import (SUPPORT_EPS, ZERO_CURVE, Arc, Curve, Deviation, Flow,
-                   Instance, Path, _value_and_slope, critical_points,
-                   social_cost)
+from .core import (SUPPORT_EPS, Arc, Curve, Deviation, Flow, Instance, Path,
+                   _value_and_slope, critical_points, social_cost)
 from .errors import (ConstructionFailed, InvalidConfig, InvalidInstance,
                      NonLinearFace, NonMonotonePerceived, NotConverged)
-
-_GAP_DENOM_FLOOR = 1e-12
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -33,9 +30,9 @@ class SolverConfig:
     max_iterations: int = 200000
 
     def __post_init__(self):
-        if not self.relative_gap_tol > 0.0:
-            raise InvalidConfig("relative gap tolerance must be positive, "
-                                f"got {self.relative_gap_tol!r}")
+        if not 0.0 < self.relative_gap_tol < math.inf:
+            raise InvalidConfig("relative gap tolerance must be positive and "
+                                f"finite, got {self.relative_gap_tol!r}")
         if not self.max_iterations >= 1:
             raise InvalidConfig("max_iterations must be at least 1, "
                                 f"got {self.max_iterations!r}")
@@ -50,24 +47,33 @@ class EquilibriumResult:
 
 
 def _terms(instance: Instance, deviation: Deviation | None) -> dict:
-    """Each arc's perceived cost q_a = l_a + delta_a as its two curves."""
+    """q_a = l_a + delta_a per arc as its curves (l_a,) or (l_a, delta_a)."""
     curves = {} if deviation is None else deviation.curves
-    return {a.id: (a.latency, curves.get(a.id, ZERO_CURVE))
-            for a in instance.arcs}
+    return {a.id: (a.latency,) if (dev := curves.get(a.id)) is None
+            else (a.latency, dev) for a in instance.arcs}
+
+
+def _q(curves: tuple, x: float, at=Curve.eval) -> float:
+    q = 0.0  # q_a(x), or with ``at=Curve.slope`` its right derivative
+    for c in curves:
+        q += at(c, x)
+    return q
 
 
 def check_monotone_perceived(instance: Instance,
                              deviation: Deviation | None) -> None:
-    """Reject perceived latencies that decrease or go negative on [0,
-    max(total demand, 1)]; exact, as each critical point of q_a is compared
-    with the highest before it. Instance validated undeviated latencies."""
+    """Reject a q_a that decreases or goes negative on [0, max(total demand,
+    1)], exactly: q_a at each critical point is compared with its peak so
+    far. l_a alone and polynomials with non-negative coefficients pass."""
     x_max = max(instance.total_demand, 1.0)
-    for arc_id, (lat, dev) in _terms(instance, deviation).items():
-        if dev == ZERO_CURVE:
+    for arc_id, curves in _terms(instance, deviation).items():
+        if len(curves) == 1 or all(c.kind == "poly" for c in curves) and all(
+                u + v >= 0.0 for u, v in zip_longest(
+                    *(c.data for c in curves), fillvalue=0.0)):
             continue
         peak = -math.inf
-        for x in critical_points([(1.0, lat), (1.0, dev)], x_max):
-            value = lat.eval(x) + dev.eval(x)
+        for x in critical_points([(1.0, c) for c in curves], x_max):
+            value = _q(curves, x)
             if value < -1e-12:
                 raise NonMonotonePerceived(
                     f"perceived latency negative on arc {arc_id!r} at x={x}")
@@ -103,9 +109,7 @@ def _bellman_ford(arcs: list[tuple[str, str, float]], dist: dict[str, float],
             # walk predecessors until a node repeats; the repeat closes the
             # negative cycle in the predecessor graph
             pred[head] = k
-            seen: dict[str, int] = {}
-            trail: list[int] = []
-            node = head
+            seen, trail, node = {}, [], head  # node -> its index in trail
             while node not in seen and node in pred:
                 seen[node] = len(trail)
                 trail.append(pred[node])
@@ -125,8 +129,7 @@ def _search(instance: Instance, costs: dict[str, float], source: str
     unreachable) and, for every reached node but the source, the index in
     instance.arcs of its predecessor arc; ties broken by arc-id relaxation
     order."""
-    init = dict.fromkeys(instance.nodes, math.inf)
-    init[source] = 0.0
+    init = {**dict.fromkeys(instance.nodes, math.inf), source: 0.0}
     dist, pred, cycle = _bellman_ford(
         [(a.tail, a.head, costs[a.id]) for a in instance.arcs], init, 1e-15)
     if cycle is not None:
@@ -158,8 +161,7 @@ def _shortest_paths(instance: Instance, costs: dict[str, float],
 
 def _arc_costs(terms: dict, arc_flows: dict[str, float]) -> dict[str, float]:
     """The perceived cost of every arc at the given arc flows."""
-    return {a: lat.eval(arc_flows[a]) + dev.eval(arc_flows[a])
-            for a, (lat, dev) in terms.items()}
+    return {a: _q(curves, arc_flows[a]) for a, curves in terms.items()}
 
 
 def beckmann_potential(instance: Instance, flow: Flow,
@@ -176,7 +178,7 @@ def _gap(instance: Instance, commodity_paths: tuple[dict[Path, float], ...],
         avg = sum(v * sum(costs[a] for a in p) for p, v in paths.items())
         num += avg - commodity.demand * least
         den += commodity.demand * least
-    return max(num, 0.0) / max(den, _GAP_DENOM_FLOOR)
+    return max(num, 0.0) / max(den, 1e-12)  # floored for zero costs
 
 
 def relative_gap(instance: Instance, flow: Flow,
@@ -207,7 +209,7 @@ def _step(terms: dict, arc_flows: dict[str, float], costs: dict[str, float],
     if len(free) > 1:
         gram = [[0.0] * len(free) for _ in free]
         for a, rows in sides.items():
-            w = sum(c.slope(arc_flows[a]) for c in terms[a])
+            w = _q(terms[a], arc_flows[a], Curve.slope)
             for k, s in rows:
                 for j, t in rows:
                     gram[k][j] += s * t * w
@@ -228,15 +230,15 @@ def _step(terms: dict, arc_flows: dict[str, float], costs: dict[str, float],
         paths, p, r, _ = free[k]
         rate[p] = paths, v
         rate[r] = paths, rate.get(r, (paths, 0.0))[1] - v
-    moving = [(a, *terms[a], arc_flows[a], d) for a, rows in sides.items()
+    moving = [(a, terms[a], arc_flows[a], d) for a, rows in sides.items()
               if (d := sum(s * rates.get(k, 0.0) for k, s in rows))]
     t_max, stop = min(((paths[p] / -v, p) for p, (paths, v) in rate.items()
                        if v < 0.0), default=(0.0, None))
     if not t_max > 0.0 or (t := _line_search(moving, t_max)) is None:
         return False
-    for a, lat, dev, f, d in moving:
+    for a, curves, f, d in moving:
         arc_flows[a] = f + t * d
-        costs[a] = lat.eval(f + t * d) + dev.eval(f + t * d)
+        costs[a] = _q(curves, f + t * d)
     for p, (paths, v) in rate.items():
         paths[p] += t * v
         if paths[p] <= 1e-15 or (p == stop and t == t_max):
@@ -259,14 +261,24 @@ def _cholesky_solve(low: list[list[float]], b: list[float]) -> list[float]:
 
 def _line_search(moving: list, t_max: float) -> float | None:
     """The least t in [0, t_max] with g(t) = sum_a q_a(f_a + t d_a) d_a >= 0
-    over ``moving`` [(arc, lat, dev, f_a, d_a), ...]; t_max if g stays
+    over ``moving`` [(arc, curves of q_a, f_a, d_a), ...]; t_max if g stays
     negative, None if g(0) >= 0. Between the pwl breakpoints that the step
     crosses g is one polynomial: ``coef`` holds it on the current piece and
     each kink (t_k, jump) adds jump to its slope from t_k on."""
     coef, kinks = [0.0, 0.0], []
-    for _, lat, dev, f, d in moving:
-        for c in (lat, dev):
-            if c.kind == "poly":
+    for _, curves, f, d in moving:
+        for c in curves:
+            if c.kind == "pwl":
+                coef[0] += c.eval(f) * d
+                coef[1] += c.slope(f) * d * d
+                xs, slopes = c.pieces
+                for x, before, after in zip(xs, slopes, slopes[1:]):
+                    t_k = (x - f) / d  # d < 0 crosses a kink at f at 0
+                    if 0.0 < t_k < t_max or (t_k == 0.0 and d < 0.0):
+                        kinks.append((t_k, (after - before) * d * abs(d)))
+            elif len(c.data) == 1:  # a constant needs no Taylor shift
+                coef[0] += c.data[0] * d
+            else:
                 taylor = list(c.data)  # c's Taylor coefficients at f
                 for i in range(len(taylor) - 1):
                     for k in range(len(taylor) - 2, i - 1, -1):
@@ -274,15 +286,6 @@ def _line_search(moving: list, t_max: float) -> float | None:
                 coef += [0.0] * (len(taylor) - len(coef))
                 for j, v in enumerate(taylor):
                     coef[j] += v * d ** (j + 1)
-                continue
-            coef[0] += c.eval(f) * d
-            coef[1] += c.slope(f) * d * d
-            slopes = [0.0] + [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1)
-                              in zip(c.data, c.data[1:])]
-            for (x, _), before, after in zip(c.data, slopes, slopes[1:]):
-                t_k = (x - f) / d  # moving left, a kink at f is crossed at 0
-                if 0.0 < t_k < t_max or (t_k == 0.0 and d < 0.0):
-                    kinks.append((t_k, (after - before) * d * abs(d)))
     if not coef[0] < 0.0:
         return None
     lo, g_lo = 0.0, coef[0]
@@ -322,7 +325,8 @@ def _solve(instance: Instance, deviation: Deviation | None,
         costs, searches = _arc_costs(terms, flow.arc_flows), {}
         shortest = _shortest_paths(instance, costs, searches)
         if iterations:  # so a start within tolerance is equilibrated once
-            potential = beckmann_potential(instance, flow, deviation)
+            potential = sum([c.integral(flow.arc_flows[a])
+                             for a, cs in terms.items() for c in cs])
             if not potential <= prev_potential + 1e-10:
                 raise ConstructionFailed("potential increased")
             prev_potential = potential
@@ -340,7 +344,7 @@ def _solve(instance: Instance, deviation: Deviation | None,
         while iterations + steps < config.max_iterations:
             free, ahead = [], False
             for paths in columns:
-                cost = {p: sum(costs[a] for a in p) for p in paths}
+                cost = {p: sum(map(costs.__getitem__, p)) for p in paths}
                 least = min(cost.values())
                 top = max(cost[p] for p in paths if paths[p] > 0.0)
                 ref = min(cost, key=lambda p: (paths[p] == 0.0, cost[p], p))
@@ -380,22 +384,20 @@ def verify_nash(instance: Instance, flow: Flow,
     return report
 
 
-def _face(lat: Curve, dev: Curve, total: float, x: float, q: float,
+def _face(curves: tuple, total: float, x: float, q: float,
           eps: float) -> tuple[float, float]:
     """The interval [lo, hi] of flows in [0, total] on which the perceived
-    cost q_a = lat + dev equals q = q_a(x).
+    cost q_a, the sum of ``curves``, equals q = q_a(x).
 
     q_a is non-decreasing, so the interval is a point or a plateau, whose
     ends are critical points of q_a. Plateaus no longer than the solver's
     accuracy collapse to the point x.
     """
     tol = eps * max(1.0, abs(q))
-    on = [x] + [p for p in critical_points([(1.0, lat), (1.0, dev)], total)
-                if abs(lat.eval(p) + dev.eval(p) - q) <= tol]
+    on = [x] + [p for p in critical_points([(1.0, c) for c in curves], total)
+                if abs(_q(curves, p) - q) <= tol]
     lo, hi = min(on), max(on)
-    if hi - lo <= eps * max(1.0, total):
-        return x, x
-    return lo, hi
+    return (x, x) if hi - lo <= eps * max(1.0, total) else (lo, hi)
 
 
 def worst_equilibrium_cost(instance: Instance,
@@ -422,16 +424,15 @@ def worst_equilibrium_cost(instance: Instance,
     solution, q_star, searches = _solve(instance, deviation, config, None)
     solved, eps = solution.flow, 10.0 * config.relative_gap_tol
     cost, x = social_cost(instance, solved), solved.arc_flows
-    faces = {a: _face(*curves, instance.total_demand, x[a], q_star[a], eps)
+    faces = {a: _face(curves, instance.total_demand, x[a], q_star[a], eps)
              for a, curves in _terms(instance, deviation).items()}
     if all(lo == hi for lo, hi in faces.values()):
         return cost
     levels = {}  # l_a on its interval
     for arc in instance.arcs:
         lo, hi = faces[arc.id]
-        levels[arc.id] = arc.latency.eval(lo)
-        if arc.latency.eval(hi) - levels[arc.id] > eps * max(
-                1.0, levels[arc.id]):
+        level = levels[arc.id] = arc.latency.eval(lo)
+        if arc.latency.eval(hi) - level > eps * max(1.0, level):
             raise NonLinearFace(
                 f"latency of arc {arc.id!r} varies on its equilibrium "
                 f"interval [{lo:.6g}, {hi:.6g}], so the cost is not linear "
@@ -469,9 +470,8 @@ def worst_equilibrium_cost(instance: Instance,
         per_arc.setdefault(arc.id, []).append(col)
     for i, commodity in enumerate(instance.commodities):
         for node in instance.nodes:
-            supply = (commodity.demand if node == commodity.source
-                      else -commodity.demand if node == commodity.sink
-                      else 0.0)
+            supply = commodity.demand * ((node == commodity.source)
+                                         - (node == commodity.sink))
             conservation.append((balance.get((i, node), []), supply))
     for arc_id, cols in per_arc.items():
         lo, hi = faces[arc_id]

@@ -100,8 +100,8 @@ def braess(m: int, beta: float) -> GeneratedCase:
     """
     if m < 2:
         raise InvalidInstance("braess family needs m >= 2")
-    if beta < 0.0:
-        raise InvalidInstance("beta must be non-negative")
+    if not 0.0 <= beta < math.inf:
+        raise InvalidInstance("beta must be finite and non-negative")
     ramp = Curve.ramp(1.0 / m, 1.0 / (m - 1), beta)
     nodes, arcs = _braess_graph(m, ramp)
     instance = Instance(nodes, arcs, [Commodity("s", "t", 1.0)],
@@ -127,8 +127,8 @@ def braess_odd(m: int, beta: float, r: float) -> GeneratedCase:
     eps_m units onto it, which prices every path at 1 + beta*m and lifts
     the total cost to 1 + beta*r*m.
     """
-    if m < 2 or beta < 0.0 or r < 1.0:
-        raise InvalidInstance("need m >= 2, beta >= 0, r >= 1")
+    if not (m >= 2 and 0.0 <= beta < math.inf and 1.0 <= r < math.inf):
+        raise InvalidInstance("need m >= 2, 0 <= beta < inf, 1 <= r < inf")
     eps_m = 1.0 / (2 * m)
     ramp = Curve.ramp(1.0 / m, (1.0 - eps_m) / (m - 1), beta)
     nodes, arcs = _braess_graph(m, ramp)
@@ -166,8 +166,8 @@ def braess_even(m: int, beta: float, r: float) -> GeneratedCase:
     of the first rising arc by r-1 keeps both equilibria intact while the
     extra demand inflates the deviated cost.
     """
-    if m < 2 or beta < 0.0 or r < 1.0:
-        raise InvalidInstance("need m >= 2, beta >= 0, r >= 1")
+    if not (m >= 2 and 0.0 <= beta < math.inf and 1.0 <= r < math.inf):
+        raise InvalidInstance("need m >= 2, 0 <= beta < inf, 1 <= r < inf")
     ramp = Curve.ramp(1.0 / m, 1.0 / (m - 1), beta)
     nodes, arcs = _braess_graph(m, ramp)
     shifted = Curve.ramp(1.0 / m + (r - 1.0), 1.0 / (m - 1) + (r - 1.0), beta)
@@ -209,8 +209,8 @@ def fibonacci(p: int, beta: float, ramp_delta: float = 0.01) -> GeneratedCase:
     """
     if p < 3 or p % 2 == 0:
         raise InvalidInstance("need odd p >= 3")
-    if beta < 0.0 or ramp_delta <= 0.0:
-        raise InvalidInstance("need beta >= 0 and ramp_delta > 0")
+    if not (0.0 <= beta < math.inf and 0.0 < ramp_delta < math.inf):
+        raise InvalidInstance("need 0 <= beta < inf and 0 < ramp_delta < inf")
     fib = _fibonacci_numbers(p + 1)
     d = ramp_delta
 
@@ -324,10 +324,10 @@ def smoothness_tight(c: Curve, beta: float, r: float,
     r-epsilon gives the comparison cost whose minimum over epsilon
     approaches the smoothness-ratio supremum.
     """
-    if not (0.0 < epsilon < r):
-        raise InvalidInstance("need 0 < epsilon < r")
-    if beta < 0.0:
-        raise InvalidInstance("beta must be non-negative")
+    if not 0.0 < epsilon < r < math.inf:
+        raise InvalidInstance("need 0 < epsilon < r < inf")
+    if not 0.0 <= beta < math.inf:
+        raise InvalidInstance("beta must be finite and non-negative")
     c_r = c.eval(r)
     if c_r <= 0.0:
         raise InvalidInstance("latency must be positive at x = r")

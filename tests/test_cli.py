@@ -46,6 +46,23 @@ class TestGenerate:
                                       "--out", str(out)])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["braess", "--beta", "nan"], ["braess", "--beta", "inf"],
+        ["braess-odd", "--r", "inf"], ["braess-even", "--beta", "nan"],
+        ["fibonacci", "--ramp-delta", "inf"],
+        ["smoothness-tight", "--beta", "inf"]],
+        ids=["braess-nan", "braess-inf", "odd-r-inf", "even-nan",
+             "fibonacci-delta-inf", "smoothness-inf"])
+    def test_non_finite_parameter_is_usage_error(self, runner, tmp_path,
+                                                 args):
+        # braess with beta nan ended in a "curve numbers must be finite"
+        # traceback and exit 1: nan passed the beta < 0 test
+        out = tmp_path / "i.json"
+        result = runner.invoke(main, ["generate", *args, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "inf" in result.output or "finite" in result.output
+        assert not out.exists()
+
     def test_unknown_family_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["generate", "nope", "--out", "x.json"])
         assert result.exit_code == 2
@@ -116,6 +133,13 @@ class TestSolve:
         result = runner.invoke(main, ["solve", str(out), "--tol", "0"])
         assert result.exit_code == 2
         assert "tolerance must be positive" in result.output
+
+    def test_infinite_tol_is_usage_error(self, runner, tmp_path):
+        # --tol inf was accepted and printed gap=8.000e+00 as a success
+        out = gen(runner, tmp_path, "braess", "--m", "3")
+        result = runner.invoke(main, ["solve", str(out), "--tol", "inf"])
+        assert result.exit_code == 2
+        assert "positive and finite, got inf" in result.output
 
     @pytest.mark.parametrize("latency, named", [
         ({"exp": 1}, "'exp'"),
@@ -457,6 +481,20 @@ def test_non_finite_input_is_domain_error(runner, tmp_path, edit, keys,
                                   for a in args])
     assert result.exit_code == 3
     assert "error: " in result.output and named in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["dr", "--beta", "nan", "--n", "5"], ["dr", "--beta", "inf", "--n", "5"],
+    ["bpoa", "--mu", "nan", "--beta", "1"],
+    ["gap", "--mu", "0.2", "--beta", "inf"],
+    ["mu-hat", "--poly", "0,1", "--domain-max", "inf"]],
+    ids=["dr-nan", "dr-inf", "bpoa-nan", "gap-inf", "mu-hat-inf"])
+def test_non_finite_bound_argument_is_domain_error(runner, args):
+    # each printed nan or inf with exit 0, or (mu-hat) ended in scipy's
+    # "bounds must be finite" traceback
+    result = runner.invoke(main, ["bound", *args])
+    assert result.exit_code == 3
+    assert "error: " in result.output and "finite" in result.output
 
 
 def test_import_loads_no_scipy():

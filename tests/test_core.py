@@ -103,6 +103,60 @@ class TestCurve:
         assert c.integral(upper) == pytest.approx(approx, rel=1e-3, abs=1e-3)
 
 
+def _reference_integral(c: Curve, upper: float) -> float:
+    """The trapezoid rule over critical_points: Curve.integral's pwl branch
+    before it walked the breakpoints itself."""
+    if upper <= 0.0:
+        return 0.0
+    xs = critical_points([(1.0, c)], upper)
+    return sum(0.5 * (c.eval(a) + c.eval(b)) * (b - a)
+               for a, b in zip(xs, xs[1:]))
+
+
+def _reference_slope(c: Curve, x: float) -> float:
+    """Curve.slope's pwl branch before it read the cached piece table."""
+    pts = c.data
+    if len(pts) == 1 or x < pts[0][0]:
+        return 0.0
+    k = min(sum(px <= x for px, _ in pts), len(pts) - 1)
+    return (pts[k][1] - pts[k - 1][1]) / (pts[k][0] - pts[k - 1][0])
+
+
+@st.composite
+def _pwl_and_points(draw):
+    """A pwl curve of 1-5 breakpoints, some at x <= 0, and points on each
+    breakpoint, between and around them, at 0 and past the last one."""
+    number = st.floats(-3.0, 5.0, allow_nan=False)
+    xs = sorted(draw(st.sets(number, min_size=1, max_size=5)))
+    c = Curve.pwl([(x, draw(number)) for x in xs])
+    points = [0.0, *xs, *((a + b) / 2 for a, b in zip(xs, xs[1:])),
+              xs[0] - 1.0, xs[-1] + draw(st.floats(1e-9, 4.0)),
+              draw(number)]
+    return c, points
+
+
+class TestPwlKernels:
+    @given(_pwl_and_points())
+    @settings(max_examples=300, deadline=None)
+    def test_integral_matches_the_critical_point_trapezoid(self, case):
+        c, points = case
+        for upper in points:
+            assert c.integral(upper) == _reference_integral(c, upper)
+
+    @given(_pwl_and_points())
+    @settings(max_examples=300, deadline=None)
+    def test_slope_matches_the_breakpoint_count(self, case):
+        c, points = case
+        for x in points:
+            assert c.slope(x) == _reference_slope(c, x)
+
+    def test_piece_table_is_built_once(self):
+        c = Curve.pwl([(0.0, 1.0), (1.0, 3.0), (3.0, 4.0)])
+        assert c.pieces == ((0.0, 1.0, 3.0), (0.0, 2.0, 0.5))
+        assert c.pieces is c.pieces
+        assert c == Curve.pwl(c.data) and hash(c) == hash(Curve.pwl(c.data))
+
+
 class TestLatencyValidation:
     def test_negative_poly_coefficient_rejected(self):
         with pytest.raises(InvalidInstance):

@@ -234,6 +234,27 @@ class TestMonotoneCheck:
             check_monotone_perceived(inst, dev)
 
 
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=4),
+           st.lists(st.integers(0, 12), min_size=1, max_size=4),
+           st.sampled_from([0.5, 1.0, 3.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_poly_pairs_with_non_negative_sums_pass(self, lat, sums, demand):
+        # delta_k = s_k - l_k, exact on the grid k/4, so that l + delta has
+        # the non-negative coefficients s (zero where s is shorter)
+        lat, sums = [k / 4 for k in lat], [k / 4 for k in sums]
+        dev = [s - (lat[k] if k < len(lat) else 0.0)
+               for k, s in enumerate(sums)]
+        inst = pigou(Curve.poly(lat), Curve.constant(1.0), demand=demand)
+        check_monotone_perceived(inst, Deviation({"a1": Curve.poly(dev)}))
+
+    def test_arcs_without_deviation_carry_one_curve(self):
+        inst = pigou(Curve.poly([0.0, 1.0]), Curve.constant(1.0))
+        dev = Deviation.constants({"a2": 0.25})
+        assert equilibrium._terms(inst, dev) == {
+            "a1": (Curve.poly([0.0, 1.0]),),
+            "a2": (Curve.constant(1.0), Curve.constant(0.25))}
+
+
 class TestWardrop:
     def test_pigou_linear(self):
         # l = (x, 1): all flow takes the variable arc
@@ -492,18 +513,19 @@ def _curves(draw):
 @st.composite
 def _moving_arcs(draw):
     """(moving, t_max) for equilibrium._line_search: arcs whose flows f + t d
-    stay non-negative for t in [0, t_max]."""
+    stay non-negative for t in [0, t_max], each with its curves (l,) or
+    (l, delta) as equilibrium._terms gives them."""
     moving = []
     for k in range(draw(st.integers(1, 4))):
-        lat = _curves(draw)
-        dev = _curves(draw) if draw(st.booleans()) else Curve.constant(0.0)
+        curves = (_curves(draw),) + ((_curves(draw),) if draw(st.booleans())
+                                     else ())
         # half of the flows sit on a breakpoint, where the slope jumps
-        kinks = [x for c in (lat, dev) if c.kind == "pwl" for x, _ in c.data]
+        kinks = [x for c in curves if c.kind == "pwl" for x, _ in c.data]
         f = draw(st.sampled_from(kinks) if kinks and draw(st.booleans())
                  else st.integers(0, 24).map(lambda j: j / 8))
         d = draw(st.sampled_from([-1.0, 1.0])) * draw(
             st.integers(1, 8).map(lambda j: j / 4))
-        moving.append((f"a{k}", lat, dev, f, d))
+        moving.append((f"a{k}", curves, f, d))
     t_max = min([draw(st.integers(1, 16).map(lambda j: j / 4))]
                 + [f / -d for *_, f, d in moving if d < 0.0])
     assume(t_max > 0.0)
@@ -517,8 +539,8 @@ class TestLineSearch:
         moving, t_max = case
 
         def g(t):
-            return sum((lat.eval(f + t * d) + dev.eval(f + t * d)) * d
-                       for _, lat, dev, f, d in moving)
+            return sum(sum(c.eval(f + t * d) for c in curves) * d
+                       for _, curves, f, d in moving)
         assume(abs(g(0.0)) > 1e-9)
         t = equilibrium._line_search(moving, t_max)
         if g(0.0) > 0.0:
