@@ -195,6 +195,10 @@ def solve(instance_path, deviation_path, tol, out) -> None:
     if deviation_path is not None:
         deviation = _load_json(deviation_path, "deviation",
                                Deviation.from_json)
+        unknown = sorted(set(deviation.curves) - set(instance.arcs_by_id))
+        if unknown:
+            raise click.UsageError(f"deviation {deviation_path} names arcs "
+                                   f"not in the instance: {unknown}")
     result = wardrop(instance, deviation, config)
     cost = social_cost(instance, result.flow)
     click.echo(f"C={_fmt(cost)} gap={result.relative_gap:.3e} "

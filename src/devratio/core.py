@@ -444,7 +444,7 @@ class Deviation:
 
     @classmethod
     def from_json(cls, spec: Mapping) -> "Deviation":
-        return cls({a: Curve.from_json(c) for a, c in spec.get("arcs", {}).items()})
+        return cls({a: Curve.from_json(c) for a, c in spec["arcs"].items()})
 
 
 Path = tuple[str, ...]  # sequence of arc ids

@@ -115,6 +115,30 @@ class TestSolve:
         assert result.exit_code == 0, result.output
         assert result.output.startswith("C=")
 
+    @pytest.mark.parametrize("spec", [
+        {"x": 1}, {"v1>w1": {"poly": [0.0, 0.5]}}])
+    def test_deviation_without_arcs_is_usage_error(self, runner, tmp_path,
+                                                   spec):
+        # such a file loaded as the zero deviation and exited 0
+        out = gen(runner, tmp_path, "braess", "--m", "2", "--beta", "1")
+        dev_path = tmp_path / "dev.json"
+        dev_path.write_text(json.dumps(spec))
+        result = runner.invoke(main, ["solve", str(out), "--deviation",
+                                      str(dev_path)])
+        assert result.exit_code == 2
+        assert "'arcs'" in result.output
+
+    def test_deviation_on_unknown_arc_is_usage_error(self, runner, tmp_path):
+        # an arc id absent from the instance was ignored with exit 0
+        out = gen(runner, tmp_path, "braess", "--m", "2", "--beta", "1")
+        dev_path = tmp_path / "dev.json"
+        dev_path.write_text(json.dumps(
+            {"arcs": {"zz": {"poly": [1.0]}, "v1>w1": {"poly": [0.5]}}}))
+        result = runner.invoke(main, ["solve", str(out), "--deviation",
+                                      str(dev_path)])
+        assert result.exit_code == 2
+        assert "'zz'" in result.output and "v1>w1" not in result.output
+
     def test_missing_file_is_usage_error(self, runner):
         result = runner.invoke(main, ["solve", "no-such-file.json"])
         assert result.exit_code == 2
