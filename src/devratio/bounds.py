@@ -107,27 +107,27 @@ class MuHatResult:
 def mu_hat(query: SmoothnessQuery) -> MuHatResult:
     """sup over x, z in (0, domain_max] of z(l(x)-(1+b)l(z)) / (x l(x)).
 
-    Dense-grid maximum plus a local continuous refinement around the best
-    cell. Points with x*l(x)=0 contribute nothing when the numerator is
-    non-positive there; a positive numerator over a zero denominator means
-    the supremum diverges.
+    Grid maximum, refined locally. The grid keeps one grid² float matrix of
+    numerators (rows x, columns z); fl(a/d) rises with a for d > 0, so x is
+    the first row with the best max(num)/(x l(x)) and z its first best
+    quotient. Rows with x l(x) = 0 score 0; a positive numerator diverges.
     """
     from scipy.optimize import minimize_scalar
     l, beta = query.latency, query.beta
-    pts = np.linspace(query.domain_max / query.grid, query.domain_max,
-                      query.grid)
+    h = query.domain_max / query.grid
+    pts = np.linspace(h, query.domain_max, query.grid)
     lv = np.array([l.eval(p) for p in pts])
-    num = pts[None, :] * (lv[:, None] - (1.0 + beta) * lv[None, :])
-    den = (pts * lv)[:, None]
+    num = np.subtract.outer(lv, (1.0 + beta) * lv)
+    num *= pts
+    den = pts * lv
     zero_den = den <= 0.0
-    if np.any(zero_den & (num > 1e-15)):
+    if np.any(num[zero_den] > 1e-15):
         raise Unbounded("positive numerator over zero denominator")
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(zero_den, 0.0, num / np.where(zero_den, 1.0, den))
-    i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+        i = int(np.argmax(np.where(zero_den, 0.0, num.max(axis=1) / den)))
+        row = np.where(zero_den[i], 0.0, num[i] / den[i])
+    j = int(np.argmax(row))
     best_x, best_z = float(pts[i]), float(pts[j])
-
-    h = query.domain_max / query.grid
 
     def value(x: float, z: float) -> float:
         d = x * l.eval(x)
@@ -146,7 +146,7 @@ def mu_hat(query: SmoothnessQuery) -> MuHatResult:
             method="bounded", options={"xatol": 1e-12})
         best_x = float(res.x)
 
-    best = max(float(ratio[i, j]), value(best_x, best_z), 0.0)
+    best = max(float(row[j]), value(best_x, best_z), 0.0)
     boundary = best_x >= query.domain_max - h or best_z >= query.domain_max - h
     return MuHatResult(best, best_x, best_z, boundary)
 

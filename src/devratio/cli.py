@@ -30,15 +30,15 @@ def _fmt(value: float) -> str:
 
 
 def _load_json(path: str, what: str, build):
-    """build(spec) on the JSON in path; malformed JSON, a missing key or a
-    malformed value (such as an unknown curve spec) is a usage error that
-    names it."""
+    """build(spec) on the JSON in path; malformed JSON, a missing key, a
+    value of the wrong type (a list for an object) or a malformed value
+    (such as an unknown curve spec) is a usage error that names it."""
     try:
         with open(path) as fh:
             return build(json.load(fh))
     except KeyError as exc:
         raise click.UsageError(f"{what} {path} lacks the key {exc.args[0]!r}")
-    except ValueError as exc:
+    except (ValueError, TypeError, AttributeError) as exc:
         raise click.UsageError(f"{what} {path}: {exc}")
 
 

@@ -1,13 +1,15 @@
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from devratio.bounds import (SmoothnessQuery, bpoa_bound,
+from devratio.bounds import (MuHatResult, SmoothnessQuery, bpoa_bound,
                              bpoa_dr_gap, heterogeneous_bound, mu_hat,
                              path_deviation_bound, pra_bound, pra_lower_even,
                              stability_bound)
 from devratio.core import Curve
 from devratio.errors import (DemandNotNormalized, EpsilonOutOfRange,
-                             GammaOutOfRange, MuTooLarge, ParameterOutOfRange)
+                             GammaOutOfRange, MuTooLarge, ParameterOutOfRange,
+                             Unbounded)
 
 
 class TestPraBound:
@@ -75,7 +77,87 @@ class TestStabilityBound:
         assert stability_bound(eps, n, r * 2) >= base
 
 
+def _dense_mu_hat(query):
+    """mu_hat's grid step written with the full grid x grid ratio matrix and
+    its flat argmax, followed by mu_hat's own refinement."""
+    from scipy.optimize import minimize_scalar
+    l, beta = query.latency, query.beta
+    pts = np.linspace(query.domain_max / query.grid, query.domain_max,
+                      query.grid)
+    lv = np.array([l.eval(p) for p in pts])
+    num = pts[None, :] * (lv[:, None] - (1.0 + beta) * lv[None, :])
+    den = (pts * lv)[:, None]
+    zero_den = den <= 0.0
+    if np.any(zero_den & (num > 1e-15)):
+        raise Unbounded("positive numerator over zero denominator")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(zero_den, 0.0, num / np.where(zero_den, 1.0, den))
+    i, j = np.unravel_index(np.argmax(ratio), ratio.shape)
+    best_x, best_z = float(pts[i]), float(pts[j])
+    h = query.domain_max / query.grid
+
+    def value(x, z):
+        d = x * l.eval(x)
+        if d <= 0.0:
+            return 0.0
+        return z * (l.eval(x) - (1.0 + beta) * l.eval(z)) / d
+
+    for _ in range(4):
+        res = minimize_scalar(lambda z: -value(best_x, z), bounds=(
+            max(best_z - h, 0.0), min(best_z + h, query.domain_max)),
+            method="bounded", options={"xatol": 1e-12})
+        best_z = float(res.x)
+        res = minimize_scalar(lambda x: -value(x, best_z), bounds=(
+            max(best_x - h, 1e-15), min(best_x + h, query.domain_max)),
+            method="bounded", options={"xatol": 1e-12})
+        best_x = float(res.x)
+
+    best = max(float(ratio[i, j]), value(best_x, best_z), 0.0)
+    boundary = best_x >= query.domain_max - h or best_z >= query.domain_max - h
+    return MuHatResult(best, best_x, best_z, boundary)
+
+
+def _outcome(fn, query):
+    try:
+        return fn(query)
+    except Unbounded as exc:
+        return Unbounded, str(exc)
+
+
+@st.composite
+def _zero_then_rising(draw):
+    """A pwl curve that is zero up to its first few breakpoints (rows with
+    x*l(x) = 0 on the grid) and then rises."""
+    xs = sorted(draw(st.sets(st.integers(1, 80), min_size=1, max_size=4)))
+    ys = [0.0] * draw(st.integers(0, len(xs)))
+    while len(ys) < len(xs):
+        ys.append((ys[-1] if ys else 0.0) + draw(st.floats(0.1, 3.0)))
+    return Curve.pwl([(x / 10.0, y) for x, y in zip(xs, ys)])
+
+
+_POLY = st.lists(st.sampled_from([0.0, 0.25, 1.0, 2.0]) | st.floats(0.0, 3.0),
+                 min_size=1, max_size=4).map(Curve.poly)
+
+
 class TestMuHat:
+    @given(_POLY | _zero_then_rising(),
+           st.sampled_from([0.0, 0.5, 1.0, 2.0, 5.0]) | st.floats(0.0, 5.0),
+           st.sampled_from([1.0, 5.0, 10.0, 50.0]) | st.floats(0.5, 100.0),
+           st.integers(100, 600))
+    # every row ties at 0, so the first best row decides arg_x
+    @example(Curve.constant(1.0), 0.0, 10.0, 100)
+    @example(Curve.constant(0.0), 0.0, 5.0, 257)
+    # l(x) = 0 up to x = 2: zero-divisor rows ahead of the best row
+    @example(Curve.pwl([(2.0, 0.0), (3.0, 1.0)]), 0.0, 5.0, 512)
+    # a negative latency: a positive numerator over a zero divisor
+    @example(Curve.constant(-1.0), 1.0, 5.0, 100)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_grid(self, curve, beta, domain_max, grid):
+        # the row-wise grid maximum returns exactly what the full ratio
+        # matrix gives: same value, arguments and boundary flag, or Unbounded
+        q = SmoothnessQuery(curve, beta, domain_max, grid)
+        assert _outcome(mu_hat, q) == _outcome(_dense_mu_hat, q)
+
     def test_affine_anchor(self):
         # for l = c*x + d the supremum is 1/(4(1+beta)), approached as the
         # constant part becomes negligible at large flows

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -387,6 +388,9 @@ class TestReproduce:
         lines = a.read_text().strip().splitlines()
         assert lines[0] == "beta,mu_hat,closed_form,bpoa_bound,gap"
         assert len(lines) == 6
+        # the five committed rows: a new mu_hat must change them on purpose
+        assert hashlib.sha256(a.read_bytes()).hexdigest() == (
+            "27ff45db755b9e9c4f2be0e46ee54f0b0159e529f0c7103845226ac5b1782863")
 
     def test_fibonacci_sweep(self, runner, tmp_path):
         out = tmp_path / "fib.csv"
@@ -474,6 +478,26 @@ def test_non_finite_curve_numbers_exit_2(runner, tmp_path, args):
     assert result.exit_code == 2
     assert "finite" in result.output
     assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("target, payload, args", [
+    ("deviation", [], ["solve", "{instance}", "--deviation", "{path}"]),
+    ("deviation", {"arcs": []},
+     ["solve", "{instance}", "--deviation", "{path}"]),
+    ("instance", [], ["solve", "{path}"]),
+    ("flow", [], ["induce", "{instance}", "{path}"])],
+    ids=["deviation-list", "deviation-arcs-list", "instance-list",
+         "flow-list"])
+def test_json_of_the_wrong_type_exits_2(runner, tmp_path, target, payload,
+                                        args):
+    # each ended in a TypeError or AttributeError traceback and exit 1
+    instance = gen(runner, tmp_path, "braess", "--m", "2")
+    path = tmp_path / f"{target}.bad.json"
+    path.write_text(json.dumps(payload))
+    result = runner.invoke(main, [a.format(instance=instance, path=path)
+                                  for a in args])
+    assert result.exit_code == 2
+    assert f"{target} {path}: " in result.output
 
 
 @pytest.mark.parametrize("edit, keys, value, args, named", [
