@@ -11,12 +11,16 @@ on C(x)/C(z).
 from __future__ import annotations
 
 import math
+from bisect import insort
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import groupby
 
 from .core import SUPPORT_EPS, Flow, Instance, _dot, social_cost
+from .equilibrium import verify_nash
 from .errors import (AlphaOutOfRange, ConstructionFailed, InvalidInstance,
                      NotCommonSource)
+from .inducibility import is_inducible
 
 _FLOW_CMP_TOL = 1e-10
 
@@ -73,74 +77,57 @@ def count_segments(path: tuple[tuple[str, str], ...]) -> int:
 
 
 def build_alt_path_tree(instance: Instance, x: Flow, z: Flow) -> AltPathTree:
-    """Grow the tree by repeatedly crossing the cut around the source with
-    a Z-arc forward or an X-arc backward (lowest arc id first). A super
-    sink joined to every commodity sink by a Z-arc keeps all sinks inside
-    the tree; those helper arcs are stripped from the result."""
+    """Grow the tree from the source, always through the lowest-id arc that
+    crosses the cut around it: a Z-arc forward out of the tree or an X-arc
+    backward into it. One frontier, kept sorted by arc id, holds every such
+    arc that leaves a tree node; an arc whose far end has joined the tree
+    meanwhile is dropped when it comes up. The tree must span every
+    commodity sink and both ends of every arc that is not removable."""
     if not instance.common_source:
         raise NotCommonSource("alternating path tree needs a common source")
     part = partition_xz(x, z)
-    super_sink = object()  # never collides with string node ids
-
-    # (sort key, arc id, tail, head, in Z)
-    arcs: list[tuple[tuple, str, object, object, bool]] = []
-    for arc in instance.arcs:
+    source = instance.source
+    # node -> (position, node it reaches, parent entry), in position order
+    grows: dict[str, list] = defaultdict(list)
+    needed = {c.sink for c in instance.commodities}
+    for pos, arc in enumerate(instance.arcs):  # arcs are sorted by id
         if arc.id in part.removable:
             continue
-        arcs.append(((0, arc.id), arc.id, arc.tail, arc.head,
-                     arc.id in part.Z))
-    for i, commodity in enumerate(instance.commodities):
-        arcs.append(((1, i), f"__sink_{i}", commodity.sink, super_sink, True))
-    arcs.sort(key=lambda e: e[0])
+        needed.update((arc.tail, arc.head))
+        if arc.id in part.Z:
+            grows[arc.tail].append((pos, arc.head, (arc.id, Z_FORWARD)))
+        else:
+            grows[arc.head].append((pos, arc.tail, (arc.id, X_BACKWARD)))
 
-    source = instance.source
-    in_tree: set[object] = {source}
-    parent: dict[object, tuple[str, str]] = {}
-    while True:
-        grown = False
-        for _, arc_id, tail, head, in_z in arcs:
-            if in_z and tail in in_tree and head not in in_tree:
-                in_tree.add(head)
-                parent[head] = (arc_id, Z_FORWARD)
-                grown = True
-                break
-            if not in_z and head in in_tree and tail not in in_tree:
-                in_tree.add(tail)
-                parent[tail] = (arc_id, X_BACKWARD)
-                grown = True
-                break
-        if not grown:
-            break
-
-    retained_nodes = {source}
-    for _, _, tail, head, _ in arcs:
-        retained_nodes.add(tail)
-        retained_nodes.add(head)
-    if retained_nodes - in_tree:
+    parent: dict[str, tuple[str, str]] = {}
+    frontier = list(grows[source])
+    while frontier:
+        _, node, entry = frontier.pop(0)
+        if node != source and node not in parent:
+            parent[node] = entry
+            for item in grows[node]:
+                insort(frontier, item)
+    if needed - parent.keys() - {source}:
         raise ConstructionFailed(
             "alternating tree does not span all flow-carrying nodes; "
             "check flow feasibility")
 
-    node_parent = {node: entry for node, entry in parent.items()
-                   if node is not super_sink}
-    paths = []
-    etas = []
+    paths, etas = [], []
     n = instance.n_nodes
     for commodity in instance.commodities:
         path: list[tuple[str, str]] = []
-        node: object = commodity.sink
+        node = commodity.sink
         while node != source:
-            arc_id, orientation = node_parent[node]
+            arc_id, orientation = parent[node]
             path.append((arc_id, orientation))
             arc = instance.arcs_by_id[arc_id]
             node = arc.tail if orientation == Z_FORWARD else arc.head
-        path.reverse()
-        paths.append(tuple(path))
-        eta = count_segments(tuple(path))
+        paths.append(tuple(reversed(path)))
+        eta = count_segments(paths[-1])
         if not eta <= math.ceil((n - 1) / 2):
             raise ConstructionFailed("segment count exceeds ceil((n-1)/2)")
         etas.append(eta)
-    return AltPathTree(node_parent, tuple(paths), tuple(etas), part)
+    return AltPathTree(parent, tuple(paths), tuple(etas), part)
 
 
 @dataclass(frozen=True)
@@ -151,8 +138,8 @@ class GeneralBound:
     warnings: tuple[str, ...] = field(default=())
 
 
-def bound_general(instance: Instance, x: Flow, z: Flow, tree: AltPathTree,
-                  check_inputs: bool = True) -> GeneralBound:
+def bound_general(instance: Instance, x: Flow, z: Flow,
+                  tree: AltPathTree) -> GeneralBound:
     """Upper bound on C(x) from the alternating tree:
 
         C(z) + sum_i r_i ( sum_{Z on path_i} theta^max_a(z_a)
@@ -165,13 +152,10 @@ def bound_general(instance: Instance, x: Flow, z: Flow, tree: AltPathTree,
     """
     theta = instance.theta
     warnings: list[str] = []
-    if check_inputs:
-        from .equilibrium import verify_nash
-        from .inducibility import is_inducible
-        if verify_nash(instance, z, None, eps=1e-6):
-            warnings.append("z is not an equilibrium at eps=1e-6")
-        if not is_inducible(instance, x).inducible:
-            warnings.append("x is not inducible under the thresholds")
+    if verify_nash(instance, z, None, eps=1e-6):
+        warnings.append("z is not an equilibrium at eps=1e-6")
+    if not is_inducible(instance, x).inducible:
+        warnings.append("x is not inducible under the thresholds")
 
     total = social_cost(instance, z)
     heavy_paths = []
@@ -181,12 +165,8 @@ def bound_general(instance: Instance, x: Flow, z: Flow, tree: AltPathTree,
         if not carrying:
             raise ConstructionFailed("commodity routes no flow")
         # argmax of latency under x; ties go to the lexicographically first
-        heavy, best_latency = None, -math.inf
-        for p in carrying:
-            lat = sum(instance.arcs_by_id[a].latency.eval(x.arc_flow(a))
-                      for a in p)
-            if lat > best_latency:
-                heavy, best_latency = p, lat
+        heavy = max(carrying, key=lambda p: sum(
+            instance.arcs_by_id[a].latency.eval(x.arc_flow(a)) for a in p))
         heavy_paths.append(heavy)
 
         term = 0.0

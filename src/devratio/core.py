@@ -538,7 +538,7 @@ def enumerate_paths(instance: Instance, commodity: Commodity,
             if len(result) > cap:
                 raise PathExplosion(len(result), cap)
             return
-        for arc in sorted(instance.out_arcs[node], key=lambda a: a.id):
+        for arc in instance.out_arcs[node]:  # filled in arc-id order
             if arc.head in visited:
                 continue
             visited.add(arc.head)

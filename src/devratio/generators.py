@@ -27,11 +27,11 @@ class GeneratedCase:
     expected_ratio: float
     family: str
 
-    def validate(self, eps: float = 1e-9, ratio_tol: float = 1e-9) -> None:
-        bad = verify_nash(self.instance, self.z, None, eps)
+    def validate(self, ratio_tol: float = 1e-9) -> None:
+        bad = verify_nash(self.instance, self.z, None, 1e-9)
         if bad:
             raise ConstructionFailed(f"z fails equilibrium check: {bad[:3]}")
-        bad = verify_nash(self.instance, self.x, self.deviation, eps)
+        bad = verify_nash(self.instance, self.x, self.deviation, 1e-9)
         if bad:
             raise ConstructionFailed(f"x fails equilibrium check: {bad[:3]}")
         ratio = (social_cost(self.instance, self.x)
@@ -296,7 +296,7 @@ def fibonacci(p: int, beta: float, ramp_delta: float = 0.01) -> GeneratedCase:
         raise NoValidSplit(
             f"achieved ratio {expected} below 1 + beta*F_{p + 1}")
     case = GeneratedCase(instance, deviation, z, x, expected, "fibonacci")
-    case.validate(eps=1e-9, ratio_tol=1e-6)
+    case.validate(ratio_tol=1e-6)
     return case
 
 
@@ -348,12 +348,12 @@ def smoothness_tight(c: Curve, beta: float, r: float,
     return SmoothnessCase(instance, deviation, x, z_star, ratio)
 
 
-def smoothness_tight_best(c: Curve, beta: float, r: float,
-                          grid: int = 400) -> tuple[float, float]:
-    """(best ratio, best epsilon) over an epsilon grid."""
+def smoothness_tight_best(c: Curve, beta: float,
+                          r: float) -> tuple[float, float]:
+    """(best ratio, best epsilon) over the grid epsilon = r*k/400, 0<k<400."""
     best, best_eps = -math.inf, None
-    for k in range(1, grid):
-        eps = r * k / grid
+    for k in range(1, 400):
+        eps = r * k / 400
         case = smoothness_tight(c, beta, r, eps)
         if case.ratio > best:
             best, best_eps = case.ratio, eps

@@ -142,12 +142,11 @@ def random_feasible_deviation(rng: random.Random,
     return Deviation(curves)
 
 
-def random_flow(rng: random.Random, instance: Instance,
-                path_cap: int = 1000) -> Flow:
+def random_flow(rng: random.Random, instance: Instance) -> Flow:
     """Random path decomposition of each commodity's demand."""
     maps = []
     for commodity in instance.commodities:
-        paths = enumerate_paths(instance, commodity, path_cap)
+        paths = enumerate_paths(instance, commodity, 1000)
         chosen = rng.sample(paths, rng.randint(1, len(paths)))
         weights = [rng.uniform(0.1, 1.0) for _ in chosen]
         total = sum(weights)

@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +13,11 @@ from devratio.alternating import (X_BACKWARD, Z_FORWARD, bound_alpha_beta,
 from devratio.core import (Arc, Commodity, Curve, Flow, Instance,
                            ThresholdPair, social_cost)
 from devratio.equilibrium import wardrop
-from devratio.errors import AlphaOutOfRange, InvalidInstance, NotCommonSource
+from devratio.errors import (AlphaOutOfRange, ConstructionFailed,
+                             InvalidInstance, NotCommonSource)
 from devratio.generators import braess, braess_odd, remark_b1_counterexample
-from devratio.search import random_common_source_instance, random_flow
+from devratio.search import (random_common_source_instance,
+                             random_feasible_deviation, random_flow)
 
 
 def pigou_pair():
@@ -114,6 +118,94 @@ class TestAltPathTree:
                 node = arc.tail if orientation == Z_FORWARD else arc.head
             assert node == inst.source
 
+    def test_sink_of_idle_commodity_must_be_spanned(self):
+        # t2's only arc carries 1e-12 in both flows, so it is removable
+        # and nothing else reaches t2.
+        inst = Instance(
+            ["s", "t1", "t2"],
+            [Arc("a", "s", "t1", Curve.poly([0.0, 1.0])),
+             Arc("b", "s", "t2", Curve.poly([0.0, 1.0]))],
+            [Commodity("s", "t1", 1.0), Commodity("s", "t2", 1e-12)],
+            ThresholdPair.alpha_beta(0.0, 1.0))
+        flow = Flow(inst, [{("a",): 1.0}, {("b",): 1e-12}])
+        for build in (build_alt_path_tree, rescan_tree):
+            with pytest.raises(ConstructionFailed, match="does not span"):
+                build(inst, flow, flow)
+
+    @given(st.integers(0, 10**6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_rescan_with_super_sink(self, seed, equilibria):
+        rng = random.Random(seed)
+        inst = random_common_source_instance(rng, max_nodes=9,
+                                             max_commodities=3)
+        # shuffle the arc ids so that id order is not topological order
+        ids = rng.sample([f"e{k:02d}" for k in range(len(inst.arcs))],
+                         len(inst.arcs))
+        inst = Instance(inst.nodes, [dataclasses.replace(a, id=i) for a, i
+                                     in zip(inst.arcs, ids)],
+                        inst.commodities, inst.thresholds)
+        if equilibria:
+            z = wardrop(inst).flow
+            x = wardrop(inst, random_feasible_deviation(rng, inst)).flow
+        else:
+            x, z = random_flow(rng, inst), random_flow(rng, inst)
+        try:
+            expected = rescan_tree(inst, x, z)
+        except ConstructionFailed as exc:
+            with pytest.raises(ConstructionFailed, match=re.escape(str(exc))):
+                build_alt_path_tree(inst, x, z)
+            return
+        tree = build_alt_path_tree(inst, x, z)
+        assert (tree.parent, tree.paths, tree.etas) == expected
+
+
+def rescan_tree(instance, x, z):
+    """(parent, paths, etas) from the original construction: rescan all
+    arcs from the first after every node added, with a super sink joined
+    to every commodity sink by a helper Z-arc."""
+    part = partition_xz(x, z)
+    super_sink = object()
+    arcs = [((0, a.id), a.id, a.tail, a.head, a.id in part.Z)
+            for a in instance.arcs if a.id not in part.removable]
+    arcs += [((1, i), f"__sink_{i}", c.sink, super_sink, True)
+             for i, c in enumerate(instance.commodities)]
+    arcs.sort(key=lambda e: e[0])
+    source = instance.source
+    in_tree, parent = {source}, {}
+    grown = True
+    while grown:
+        grown = False
+        for _, arc_id, tail, head, in_z in arcs:
+            if in_z and tail in in_tree and head not in in_tree:
+                in_tree.add(head)
+                parent[head] = (arc_id, Z_FORWARD)
+                grown = True
+                break
+            if not in_z and head in in_tree and tail not in in_tree:
+                in_tree.add(tail)
+                parent[tail] = (arc_id, X_BACKWARD)
+                grown = True
+                break
+    retained = {source} | {v for e in arcs for v in e[2:4]}
+    if retained - in_tree:
+        raise ConstructionFailed(
+            "alternating tree does not span all flow-carrying nodes; "
+            "check flow feasibility")
+    parent = {v: e for v, e in parent.items() if v is not super_sink}
+    paths = []
+    for commodity in instance.commodities:
+        path, node = [], commodity.sink
+        while node != source:
+            arc_id, orientation = parent[node]
+            path.append((arc_id, orientation))
+            arc = instance.arcs_by_id[arc_id]
+            node = arc.tail if orientation == Z_FORWARD else arc.head
+        paths.append(tuple(reversed(path)))
+    etas = tuple(count_segments(p) for p in paths)
+    if any(eta > math.ceil((instance.n_nodes - 1) / 2) for eta in etas):
+        raise ConstructionFailed("segment count exceeds ceil((n-1)/2)")
+    return parent, tuple(paths), etas
+
 
 class TestBoundGeneral:
     def test_zero_thresholds_reduce_to_base_cost(self):
@@ -156,7 +248,6 @@ class TestBoundGeneral:
         rng = random.Random(seed)
         inst = random_common_source_instance(rng, max_nodes=6)
         z = wardrop(inst).flow
-        from devratio.search import random_feasible_deviation
         dev = random_feasible_deviation(rng, inst)
         x = wardrop(inst, dev).flow
         tree = build_alt_path_tree(inst, x, z)
